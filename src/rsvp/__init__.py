@@ -35,13 +35,7 @@ from .generators import (
 )
 from .graphs import Graph, Permutation, permute
 from .oracle import exhaustive_corpus, find_isomorphism
-from .reachability import (
-    Group,
-    HopParentIndex,
-    TraversalEntry,
-    aggregate_hp,
-    deleted_neighborhood_bfs,
-)
+from .reachability import Group, HopParentIndex, aggregate_hp
 from .refinement import Coloring, WLVerdict, color_refinement, wl_compare
 from .signature import (
     Certificate,
@@ -71,7 +65,6 @@ __all__ = [
     "NonIsomorphic",
     "ParseError",
     "Permutation",
-    "TraversalEntry",
     "Verdict",
     "WLVerdict",
     "aggregate_hp",
@@ -81,7 +74,6 @@ __all__ = [
     "color_refinement",
     "complete",
     "cycle",
-    "deleted_neighborhood_bfs",
     "disjoint_union",
     "distance_matrix",
     "exhaustive_corpus",

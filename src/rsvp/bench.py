@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import csv
 import io
+import os
 import random
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -216,9 +217,13 @@ def run_row(row: ManifestRow, oracle_limit: int = ORACLE_SIZE_LIMIT) -> ReportRo
 
 def run_bench(rows: list[ManifestRow], jobs: int = 1,
               oracle_limit: int = ORACLE_SIZE_LIMIT) -> list[ReportRow]:
-    """One report row per manifest row, preserving manifest order."""
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
+    """One report row per manifest row, preserving manifest order; at most
+    one worker per core, whatever ``jobs`` (>= 1) asks for."""
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
+    workers = min(jobs, os.cpu_count() or 1)
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(lambda r: run_row(r, oracle_limit), rows))
     return [run_row(row, oracle_limit) for row in rows]
 

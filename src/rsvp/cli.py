@@ -165,7 +165,8 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("manifest", help="manifest CSV path, or tables-builtin")
     bench.add_argument("--csv", action="store_true",
                        help="emit CSV instead of the plain table")
-    bench.add_argument("--jobs", type=int, default=1)
+    bench.add_argument("--jobs", type=int, default=1,
+                       help="rows run concurrently (>= 1, capped at the core count)")
     bench.set_defaults(func=cmd_bench)
     return parser
 

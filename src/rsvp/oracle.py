@@ -95,7 +95,8 @@ def find_isomorphism(g1: Graph, g2: Graph) -> Permutation | None:
     if not assign(0):
         return None
     result = Permutation(tuple(mapping))
-    assert verify_mapping(g1, g2, result)
+    if not verify_mapping(g1, g2, result):
+        raise RuntimeError("oracle search produced a mapping that is not an isomorphism")
     return result
 
 

@@ -1,37 +1,26 @@
 """Vertex-deleted multi-source reachability and the per-vertex hop-parent index.
 
-For a vertex ``v``, every neighbor ``s`` of ``v`` starts one traversal of the
-graph with ``v`` (and its incident edges) removed. A traversal records, for
-each surviving edge, how far each endpoint sits behind the other: both the
-shortest routes and the longer "around the back" routes that plain BFS trees
-discard. The per-start records are then merged into one index keyed on the
-distance from ``v`` itself.
+For a vertex ``v``, every neighbor ``s`` of ``v`` starts one breadth-first
+traversal of the graph with ``v`` (and its incident edges) removed. Vertex
+sets are ``int`` bitsets (bit ``u`` is vertex ``u``). With ``L_k`` the layer
+at distance ``k`` from ``s``, every target ``t`` in ``N(L_k)`` is recorded
+behind its parents ``N(t) & L_k``: all of them, so the longer "around the
+back" routes that plain BFS trees discard are kept alongside the shortest
+ones. The per-start layers are merged into one index keyed on the distance
+from ``v`` itself, at a cost of one row union per reached vertex and a few
+bitwise operations per layer, never one step per edge.
 
-The emission rule is deliberately order-invariant: it is a function of BFS
-distances and the edge set alone, so reordering adjacency storage cannot
-change the result. Relabeling the graph relabels the index (equivariance).
+The result is a function of the edge set alone, so reordering adjacency
+storage cannot change it. Relabeling the graph relabels the index
+(equivariance).
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import NamedTuple
 
 from .graphs import Graph
-
-# How the per-group count is derived. "traversals" counts the start vertices
-# that contributed an entry at that hop; the alternative "parents" (count =
-# parent list size) exists for experimentation only and nothing ships with it.
-_COUNT_SEMANTICS = "traversals"
-
-
-class TraversalEntry(NamedTuple):
-    """One reachability record from a single-start traversal."""
-
-    target: int
-    hop: int  # distance of `parent` from the start, plus one
-    parent: int
 
 
 class Group(NamedTuple):
@@ -54,72 +43,79 @@ class HopParentIndex:
     groups: tuple[tuple[Group, ...], ...]
 
 
-def _deleted_bfs_distances(g: Graph, v: int, s: int) -> list[int | None]:
-    # BFS from s in g with vertex v blocked
-    dist: list[int | None] = [None] * g.n
-    dist[s] = 0
-    queue = deque([s])
-    adjacency = g.adjacency
-    while queue:
-        u = queue.popleft()
-        du = dist[u]
-        for w in adjacency[u]:
-            if w != v and dist[w] is None:
-                dist[w] = du + 1
-                queue.append(w)
-    return dist
+def _add_to_counter(counter: list[int], bits: int) -> None:
+    # bit-sliced counter: counter[i] holds bit i of every vertex's count, so
+    # adding one to each vertex in ``bits`` is a ripple-carry over the slices
+    for i, digit in enumerate(counter):
+        counter[i] = digit ^ bits
+        bits &= digit
+        if not bits:
+            return
+    counter.append(bits)
 
 
-def deleted_neighborhood_bfs(g: Graph, v: int, s: int) -> list[TraversalEntry]:
-    """Traverse ``g - v`` from start ``s`` and emit reachability entries.
-
-    With d() the BFS distances from ``s`` in the deleted graph, every edge
-    (u, t) of ``g - v`` yields an entry (target=t, hop=d(u)+1, parent=u) when
-    d(u) is finite, and symmetrically for the other endpoint. Each edge is
-    therefore recorded at most twice, once per endpoint.
-    """
-    if s not in g.adjacency[v]:
-        raise ValueError(f"start {s} is not a neighbor of deleted vertex {v}")
-    dist = _deleted_bfs_distances(g, v, s)
-    entries: list[TraversalEntry] = []
-    adjacency = g.adjacency
-    for t in range(g.n):
-        if t == v:
-            continue
-        for u in adjacency[t]:
-            if u == v:
-                continue
-            du = dist[u]
-            if du is not None:
-                entries.append(TraversalEntry(t, du + 1, u))
-    return entries
+def _members(bits: int) -> tuple[int, ...]:
+    """The vertices of a bitset, ascending."""
+    out = []
+    while bits:
+        low = bits & -bits
+        out.append(low.bit_length() - 1)
+        bits ^= low
+    return tuple(out)
 
 
 def aggregate_hp(g: Graph, v: int) -> HopParentIndex:
-    """Merge the per-start traversals for ``v`` into its hop-parent index.
+    """The hop-parent index of ``v``: for every target, one group per hop.
 
-    Entry hops are offset by one (the edge from ``v`` to the start); within a
-    (target, hop) group the parent lists are unioned and the count is the
-    number of distinct starts that contributed. A vertex of degree 0 gets an
-    index that is empty for every target.
+    For each start ``s`` in N(v), with L_k the layer at distance k from ``s``
+    in ``g - v``, every target t in N(L_k) gets a record at hop k + 2 (one
+    edge from ``v`` to ``s``, k layers, one edge to ``t``) with parents
+    N(t) & L_k. Within a (target, hop) group the parents are unioned over
+    the starts and the count is the number of starts that contributed. A
+    vertex of degree 0 gets an index that is empty for every target.
     """
     if not 0 <= v < g.n:
         raise ValueError(f"vertex {v} outside 0..{g.n - 1}")
-    acc: list[dict[int, tuple[set[int], set[int]]]] = [{} for _ in range(g.n)]
+    without_v = ~(1 << v)
+    rows = [sum(1 << w for w in row) & without_v for row in g.adjacency]
+
+    # per layer k, merged over the starts: the union of L_k, the union of
+    # N(L_k), and per vertex the number of starts whose N(L_k) holds it
+    layers: list[int] = []
+    reached: list[int] = []
+    counters: list[list[int]] = []
     for s in g.adjacency[v]:
-        for t, hop, parent in deleted_neighborhood_bfs(g, v, s):
-            bucket = acc[t].get(hop + 1)
-            if bucket is None:
-                bucket = (set(), set())
-                acc[t][hop + 1] = bucket
-            bucket[0].add(parent)
-            bucket[1].add(s)
-    groups = []
-    for t in range(g.n):
-        per_target = []
-        for h in sorted(acc[t]):
-            parents, starts = acc[t][h]
-            count = len(starts) if _COUNT_SEMANTICS == "traversals" else len(parents)
-            per_target.append(Group(h, count, tuple(sorted(parents))))
-        groups.append(tuple(per_target))
-    return HopParentIndex(source=v, groups=tuple(groups))
+        frontier = seen = 1 << s
+        k = 0
+        while frontier:
+            near = 0
+            rest = frontier
+            while rest:
+                low = rest & -rest
+                near |= rows[low.bit_length() - 1]
+                rest ^= low
+            if k == len(layers):
+                layers.append(frontier)
+                reached.append(near)
+                counters.append([near])
+            else:
+                layers[k] |= frontier
+                reached[k] |= near
+                _add_to_counter(counters[k], near)
+            frontier = near & ~seen
+            seen |= frontier
+            k += 1
+
+    per_target: list[list[Group]] = [[] for _ in range(g.n)]
+    for k, (layer, targets, counter) in enumerate(zip(layers, reached, counters)):
+        hop = k + 2
+        while targets:
+            low = targets & -targets
+            t = low.bit_length() - 1
+            targets ^= low
+            count = 0
+            for i, digit in enumerate(counter):
+                if digit & low:
+                    count |= 1 << i
+            per_target[t].append(Group(hop, count, _members(rows[t] & layer)))
+    return HopParentIndex(source=v, groups=tuple(map(tuple, per_target)))

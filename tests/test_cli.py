@@ -1,7 +1,12 @@
 from __future__ import annotations
 
 import io
+import os
 import random
+import subprocess
+import sys
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import pytest
 
@@ -170,6 +175,29 @@ def test_bench_csv_flag(capsys):
     assert "summary:" in captured.err
 
 
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_bench_rejects_jobs_below_one(jobs, capsys):
+    assert main(["bench", "tables-builtin", "--jobs", jobs]) == 2
+    captured = capsys.readouterr()
+    assert f"jobs must be at least 1, got {jobs}" in captured.err
+    assert captured.out == ""
+
+
+def test_bench_jobs_capped_at_cpu_count(monkeypatch, capsys):
+    started = []
+
+    class RecordingPool(ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            started.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+    monkeypatch.setattr("rsvp.bench.os.cpu_count", lambda: 2)
+    monkeypatch.setattr("rsvp.bench.ThreadPoolExecutor", RecordingPool)
+    assert main(["bench", "tables-builtin", "--jobs", "64"]) == 0
+    assert started == [2]
+    assert "summary:" in capsys.readouterr().out
+
+
 def test_bench_manifest_file_and_error_row(tmp_path, capsys):
     manifest = tmp_path / "cases.csv"
     manifest.write_text(
@@ -186,3 +214,18 @@ def test_bench_manifest_file_and_error_row(tmp_path, capsys):
 
 def test_bench_unreadable_manifest(capsys):
     assert main(["bench", "/nonexistent/manifest.csv"]) == 2
+
+
+def test_certify_bytes_do_not_depend_on_hash_seed(graph_file):
+    path = graph_file("paley13.col", paley(13))
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    outputs = []
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=seed)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))
+        done = subprocess.run([sys.executable, "-m", "rsvp", "certify", path],
+                              env=env, capture_output=True, timeout=120, check=True)
+        outputs.append(done.stdout)
+    assert outputs[0]
+    assert outputs[0] == outputs[1]

@@ -31,6 +31,13 @@ def test_finds_and_verifies_constructed_isomorphisms():
         assert verify_mapping(g, h, mapping)
 
 
+def test_unverified_mapping_raises(monkeypatch):
+    # the final check is an explicit raise, so it also holds under python -O
+    monkeypatch.setattr("rsvp.oracle.verify_mapping", lambda g1, g2, f: False)
+    with pytest.raises(RuntimeError, match="not an isomorphism"):
+        find_isomorphism(cycle(5), cycle(5))
+
+
 def test_connectivity_difference():
     assert find_isomorphism(cycle(6), disjoint_union(complete(3), complete(3))) is None
 

@@ -3,14 +3,20 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_graph, shuffled_copy
+from reference_reachability import aggregate_hp as reference_aggregate_hp
+from reference_reachability import deleted_neighborhood_bfs
 from rsvp.distances import bfs_distances
 from rsvp.generators import complete, disjoint_union, worked_example
 from rsvp.graphs import Graph, Permutation, permute
-from rsvp.reachability import Group, aggregate_hp, deleted_neighborhood_bfs
+from rsvp.reachability import Group, aggregate_hp
 
 # worked_example labels: vertex ids 0..5 stand for v1..v6
+# the entry-level emission rule is pinned on the per-edge reference, which
+# the bitset kernel must match group for group (see the property below)
 
 
 def test_traversal_entries_for_target_v4():
@@ -136,3 +142,28 @@ def test_tree_targets_have_one_shortest_route_group():
                 if grp.hop == dist[t] and grp.count == 1 and grp.parents == (pred[t],)
             ]
             assert len(matching) == 1
+
+
+@st.composite
+def small_graphs(draw):
+    """Graphs on up to 16 vertices: edges confined to two blocks (so some are
+    disconnected), trailing isolated vertices, rows optionally shuffled."""
+    core = draw(st.integers(1, 16))
+    isolated = draw(st.integers(0, 16 - core))
+    split = draw(st.integers(0, core))
+    pairs = [(u, w) for u in range(core) for w in range(u + 1, core)
+             if (u < split) == (w < split)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    g = Graph(core + isolated, edges)
+    if draw(st.booleans()):
+        g = shuffled_copy(g, random.Random(draw(st.integers(0, 2**32 - 1))))
+    return g
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_graphs())
+def test_bitset_kernel_matches_per_edge_reference(g):
+    for v in range(g.n):
+        hp = aggregate_hp(g, v)
+        assert hp.source == v
+        assert hp.groups == reference_aggregate_hp(g, v).groups
