@@ -16,7 +16,8 @@ Vertex ids are shifted to dense 0-based integers on input. Duplicate edges
 are collapsed with a :class:`GraphFormatWarning`; a declared edge count that
 disagrees with the deduplicated count also warns and the actual count wins.
 Structural violations (self-loops, ids out of range, malformed lines) raise
-:class:`ParseError` naming the offending line number.
+:class:`ParseError` naming the offending line number, and so does a declared
+vertex count above ``MAX_VERTICES``, before anything is allocated for it.
 """
 
 from __future__ import annotations
@@ -26,6 +27,10 @@ import warnings
 from pathlib import Path
 
 from .graphs import Graph
+
+# largest declared vertex count a reader accepts; certifying even a few
+# thousand vertices takes hours, and the adjacency rows are allocated up front
+MAX_VERTICES = 65_536
 
 
 class ParseError(ValueError):
@@ -64,6 +69,8 @@ def parse_dimacs(text: str) -> Graph:
                 raise ParseError(f"line {lineno}: non-integer counts") from None
             if n < 0 or declared_m < 0:
                 raise ParseError(f"line {lineno}: negative counts")
+            if n > MAX_VERTICES:
+                raise ParseError(f"line {lineno}: {n} vertices exceed the limit of {MAX_VERTICES}")
         elif kind == "e":
             if n is None:
                 raise ParseError(f"line {lineno}: 'e' line before 'p' line")
@@ -119,6 +126,8 @@ def parse_edge_list(text: str) -> Graph:
                 raise ParseError(f"line {lineno}: non-integer vertex count") from None
             if n < 0:
                 raise ParseError(f"line {lineno}: negative vertex count")
+            if n > MAX_VERTICES:
+                raise ParseError(f"line {lineno}: {n} vertices exceed the limit of {MAX_VERTICES}")
             continue
         if len(tokens) != 2:
             raise ParseError(f"line {lineno}: expected '<u> <v>', got {raw!r}")

@@ -3,11 +3,15 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
+from itertools import combinations
 from math import comb, isqrt
 
 from .graphs import Graph
 
 _REGULAR_PAIRING_ATTEMPTS = 1000
+# tried double-edge switches per pair of the pairing before repair gives up
+_SWITCHES_PER_PAIR = 100
 
 
 def cycle(k: int) -> Graph:
@@ -99,9 +103,43 @@ def random_gnm(n: int, m: int, seed: int) -> Graph:
     return Graph(n, rng.sample(pairs, m))
 
 
+def _edge(u: int, w: int) -> tuple[int, int]:
+    return (u, w) if u < w else (w, u)
+
+
+def _repair_by_switches(n: int, d: int, stubs: list[int], rng: random.Random) -> Graph:
+    """A simple d-regular graph from the pairing ``stubs`` (loops and repeated
+    edges allowed), by double-edge switches, which keep every degree.
+
+    A bad pair {u, w} (a loop, or an edge paired more than once) and a random
+    pair {x, y} become {u, x} and {w, y}; the switch is kept only if both are
+    simple edges not yet present, so each kept switch removes a bad pair.
+    """
+    pairs = [_edge(stubs[i], stubs[i + 1]) for i in range(0, len(stubs), 2)]
+    count = Counter(pairs)
+    for _ in range(_SWITCHES_PER_PAIR * len(pairs)):
+        bad = [i for i, (u, w) in enumerate(pairs) if u == w or count[u, w] > 1]
+        if not bad:
+            return Graph(n, pairs)
+        i, j = bad[-1], rng.randrange(len(pairs))
+        (u, w), (x, y) = pairs[i], pairs[j]
+        if rng.random() < 0.5:
+            x, y = y, x
+        new = _edge(u, x), _edge(w, y)
+        if u == x or w == y or new[0] == new[1] or count[new[0]] or count[new[1]]:
+            continue
+        count.subtract((pairs[i], pairs[j]))
+        count.update(new)
+        pairs[i], pairs[j] = new
+    raise RuntimeError(f"no simple {d}-regular graph found for n={n} by edge switches")
+
+
 def random_regular(n: int, d: int, seed: int) -> Graph:
     """Random d-regular graph via the pairing model, rejecting pairings with
-    loops or repeated edges."""
+    loops or repeated edges. If every attempt fails (likely for d >= 6), the
+    last pairing is repaired by double-edge switches, or for d > (n - 1) / 2
+    the complement is drawn instead; the result is still a function of the
+    seed alone, though no longer exactly uniform."""
     if not 0 <= d < n:
         raise ValueError(f"degree d={d} outside 0..{n - 1}")
     if n * d % 2:
@@ -123,8 +161,11 @@ def random_regular(n: int, d: int, seed: int) -> Graph:
             edges.add(key)
         else:
             return Graph(n, edges)
-    raise RuntimeError(f"no simple {d}-regular pairing found for n={n} after "
-                       f"{_REGULAR_PAIRING_ATTEMPTS} attempts")
+    if 2 * d > n - 1:
+        # a dense graph leaves switches no room; repair its sparser complement
+        complement = set(random_regular(n, n - 1 - d, rng.randrange(1 << 30)).edges())
+        return Graph(n, [e for e in combinations(range(n), 2) if e not in complement])
+    return _repair_by_switches(n, d, stubs, rng)
 
 
 def worked_example() -> Graph:

@@ -17,8 +17,9 @@ storage cannot change it. Relabeling the graph relabels the index
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import NamedTuple
+from dataclasses import dataclass, field
+from functools import cached_property
+from typing import Iterator, NamedTuple
 
 from .graphs import Graph
 
@@ -31,16 +32,55 @@ class Group(NamedTuple):
     parents: tuple[int, ...]  # sorted union of parents across traversals
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HopParentIndex:
-    """Per-target groups for one source vertex.
+    """Per-target groups for one source vertex, kept as the layered bitsets
+    the traversals produced.
 
-    ``groups[t]`` is ordered by strictly increasing hop. Targets that no
-    traversal reached, and the source itself, get an empty tuple.
+    ``layers[k]``, ``reached[k]`` and ``counters[k]`` are, merged over the
+    starts, the union of the layers L_k, the union of N(L_k), and the
+    bit-sliced per-vertex count of starts whose N(L_k) holds the vertex;
+    ``rows[u]`` is N(u) without the source. ``records`` walks them, and
+    ``groups`` is decoded from that walk on first use: ``groups[t]`` is
+    ordered by strictly increasing hop, and targets that no traversal
+    reached, and the source itself, get an empty tuple. Two indexes are
+    equal when their sources and groups are.
     """
 
     source: int
-    groups: tuple[tuple[Group, ...], ...]
+    rows: tuple[int, ...] = field(repr=False)
+    layers: tuple[int, ...] = field(repr=False)
+    reached: tuple[int, ...] = field(repr=False)
+    counters: tuple[tuple[int, ...], ...] = field(repr=False)
+
+    def records(self) -> Iterator[tuple[int, int, int, int]]:
+        """``(target, hop, count, parents)`` for every group, hop ascending
+        and targets ascending within a hop; ``parents`` is a bitset."""
+        rows = self.rows
+        for k, (layer, targets, counter) in enumerate(
+                zip(self.layers, self.reached, self.counters)):
+            hop = k + 2
+            while targets:
+                low = targets & -targets
+                t = low.bit_length() - 1
+                targets ^= low
+                count = 0
+                for i, digit in enumerate(counter):
+                    if digit & low:
+                        count |= 1 << i
+                yield t, hop, count, rows[t] & layer
+
+    @cached_property
+    def groups(self) -> tuple[tuple[Group, ...], ...]:
+        per_target: list[list[Group]] = [[] for _ in self.rows]
+        for t, hop, count, parents in self.records():
+            per_target[t].append(Group(hop, count, members(parents)))
+        return tuple(map(tuple, per_target))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, HopParentIndex):
+            return NotImplemented
+        return self.source == other.source and self.groups == other.groups
 
 
 def _add_to_counter(counter: list[int], bits: int) -> None:
@@ -54,7 +94,7 @@ def _add_to_counter(counter: list[int], bits: int) -> None:
     counter.append(bits)
 
 
-def _members(bits: int) -> tuple[int, ...]:
+def members(bits: int) -> tuple[int, ...]:
     """The vertices of a bitset, ascending."""
     out = []
     while bits:
@@ -106,16 +146,5 @@ def aggregate_hp(g: Graph, v: int) -> HopParentIndex:
             seen |= frontier
             k += 1
 
-    per_target: list[list[Group]] = [[] for _ in range(g.n)]
-    for k, (layer, targets, counter) in enumerate(zip(layers, reached, counters)):
-        hop = k + 2
-        while targets:
-            low = targets & -targets
-            t = low.bit_length() - 1
-            targets ^= low
-            count = 0
-            for i, digit in enumerate(counter):
-                if digit & low:
-                    count |= 1 << i
-            per_target[t].append(Group(hop, count, _members(rows[t] & layer)))
-    return HopParentIndex(source=v, groups=tuple(map(tuple, per_target)))
+    return HopParentIndex(v, tuple(rows), tuple(layers), tuple(reached),
+                          tuple(map(tuple, counters)))

@@ -1,10 +1,13 @@
 """Vertex signatures, graph certificates, and certificate comparison.
 
-Every quantity here is an exact rational (`fractions.Fraction`): signature
-equality has to be decidable, and products of prime powers overflow floats
-long before interesting graph sizes. Hop counts are encoded injectively into
-odd primes, so equal signature elements mean equal hop/count structure up to
-the averaged parent distances.
+Every quantity here is exact: signature equality has to be decidable, and
+products of prime powers overflow floats long before interesting graph sizes.
+Hop counts are encoded injectively into odd primes, so equal signature
+elements mean equal hop/count structure up to the averaged parent distances.
+``avpd`` and ``signature_element`` state the definition with
+``fractions.Fraction``; certificates compute the same values with an integer
+numerator and denominator per element, read straight from the hop-parent
+bitsets, and make one ``Fraction`` per element at the end.
 
 A certificate is the sorted multiset of vertex signatures. Relabeling a graph
 permutes the multiset, so certificates of isomorphic graphs are equal; the
@@ -14,38 +17,38 @@ candidate mapping rather than an isomorphism claim.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import comb
+from math import comb, isqrt, lcm
 
 from .distances import DistanceMatrix, distance_matrix
 from .graphs import Graph, Permutation
-from .reachability import Group, aggregate_hp
+from .reachability import Group, HopParentIndex, aggregate_hp, members
 
 Signature = tuple[Fraction, ...]
 
-_odd_primes = [3, 5, 7, 11, 13]
-_prime_lock = threading.Lock()
+
+def odd_primes(count: int) -> list[int]:
+    """The first ``count`` odd primes, by a sieve of Eratosthenes whose bound
+    doubles until it holds enough of them."""
+    limit = 16
+    while True:
+        sieve = bytearray([1]) * limit
+        for p in range(3, isqrt(limit - 1) + 1, 2):
+            if sieve[p]:
+                sieve[p * p::2 * p] = bytes(len(range(p * p, limit, 2 * p)))
+        primes = [p for p in range(3, limit, 2) if sieve[p]]
+        if len(primes) >= count:
+            return primes[:count]
+        limit *= 2
 
 
 def hop_prime(h: int) -> int:
-    """The h-th odd prime: 1 -> 3, 2 -> 5, 3 -> 7, 4 -> 11, ...
-
-    The table grows on demand (trial division by the cached primes, which is
-    plenty for hop counts bounded by graph diameters).
-    """
+    """The h-th odd prime: 1 -> 3, 2 -> 5, 3 -> 7, 4 -> 11, ..."""
     if h < 1:
         raise ValueError("hop values start at 1")
-    if h > len(_odd_primes):
-        with _prime_lock:
-            candidate = _odd_primes[-1]
-            while len(_odd_primes) < h:
-                candidate += 2
-                if all(candidate % p for p in _odd_primes if p * p <= candidate):
-                    _odd_primes.append(candidate)
-    return _odd_primes[h - 1]
+    return odd_primes(h)[-1]
 
 
 def avpd(parents, dist: DistanceMatrix) -> Fraction:
@@ -73,6 +76,8 @@ def signature_element(groups: tuple[Group, ...], dist: DistanceMatrix) -> Fracti
     """Product over groups of avpd(parents) * prime(hop)**count.
 
     An empty group list (unreachable target, or the vertex itself) maps to 0.
+    This is the definition; certificates compute the same value in integers
+    (see ``_signature``).
     """
     if not groups:
         return Fraction(0)
@@ -82,16 +87,69 @@ def signature_element(groups: tuple[Group, ...], dist: DistanceMatrix) -> Fracti
     return acc
 
 
+class _PairTotals(dict):
+    """Parent bitset (two or more parents) -> sum of the pairwise distances
+    inside it, unreachable pairs counting 0; ``avpd`` is this over the
+    number of pairs. Filled on first use and shared by every vertex of one
+    graph."""
+
+    def __init__(self, dist: DistanceMatrix) -> None:
+        super().__init__()
+        self.rows = dist.rows
+
+    def __missing__(self, bits: int) -> int:
+        parents = members(bits)
+        total = 0
+        for i, u in enumerate(parents[:-1]):
+            # filter(None) drops the unreachable pairs' None
+            total += sum(filter(None, map(self.rows[u].__getitem__, parents[i + 1:])))
+        self[bits] = total
+        return total
+
+
+def _signature(index: HopParentIndex, totals: _PairTotals, primes: list[int]) -> Signature:
+    """The sorted signature behind ``index``, built in integers.
+
+    Each target's element is a numerator, the product over its groups of
+    total(P) * prime(hop)**count, over a denominator, the product of the
+    pair counts C(|P|, 2) (a single parent contributes avpd 1). Elements
+    are sorted by the exact integer keys ``num * (scale // den)``, with
+    ``scale`` the lcm of the denominators, and only then become one
+    ``Fraction`` each.
+    """
+    reached = 0
+    for bits in index.reached:
+        reached |= bits
+    num = [reached >> t & 1 for t in range(len(index.rows))]
+    den = [1] * len(num)
+    for t, hop, count, parents in index.records():
+        factor = primes[hop - 1] ** count
+        if parents & (parents - 1):
+            k = parents.bit_count()
+            num[t] *= totals[parents] * factor
+            den[t] *= k * (k - 1) // 2
+        else:
+            num[t] *= factor
+    scale = lcm(*den)
+    keyed = sorted(zip([a * (scale // b) for a, b in zip(num, den)], num, den))
+    return tuple([Fraction(a, b) for _, a, b in keyed])
+
+
 def vertex_signature(g: Graph, v: int, dist: DistanceMatrix) -> Signature:
     """Sorted sequence of the n signature elements of ``v``.
 
     ``dist`` must be the distance matrix of ``g`` itself. The element for
     ``v`` is always 0, so every signature has length exactly n and contains 0.
     """
-    index = aggregate_hp(g, v)
-    elements = [signature_element(index.groups[t], dist) for t in range(g.n)]
-    elements.sort()
-    return tuple(elements)
+    return _signature(aggregate_hp(g, v), _PairTotals(dist), odd_primes(g.n))
+
+
+def _signed_vertices(g: Graph) -> list[tuple[Signature, int]]:
+    """``(vertex_signature(g, v, ...), v)`` for every vertex, sorted; one
+    pair-total memo and one prime list (hops never exceed n) serve the whole
+    graph."""
+    totals, primes = _PairTotals(distance_matrix(g)), odd_primes(g.n)
+    return sorted((_signature(aggregate_hp(g, v), totals, primes), v) for v in range(g.n))
 
 
 @dataclass(frozen=True)
@@ -112,8 +170,7 @@ class Certificate:
 
 def certificate(g: Graph) -> Certificate:
     """Certificate of ``g``; equal for isomorphic graphs, one-sided otherwise."""
-    dist = distance_matrix(g)
-    return Certificate(tuple(sorted(vertex_signature(g, v, dist) for v in range(g.n))))
+    return Certificate(tuple(sig for sig, _ in _signed_vertices(g)))
 
 
 @dataclass(frozen=True)
@@ -144,9 +201,7 @@ def rsvp_compare(g1: Graph, g2: Graph) -> Verdict:
         return NonIsomorphic("vertex counts differ")
     if g1.m != g2.m:
         return NonIsomorphic("edge counts differ")
-    d1, d2 = distance_matrix(g1), distance_matrix(g2)
-    by_sig1 = sorted((vertex_signature(g1, v, d1), v) for v in range(g1.n))
-    by_sig2 = sorted((vertex_signature(g2, v, d2), v) for v in range(g2.n))
+    by_sig1, by_sig2 = _signed_vertices(g1), _signed_vertices(g2)
     mapping = [0] * g1.n
     for (sig1, v1), (sig2, v2) in zip(by_sig1, by_sig2):
         if sig1 != sig2:

@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import random
 
+from hypothesis import strategies as st
+
 from rsvp.generators import (
     complete,
     cycle,
@@ -51,3 +53,19 @@ def mixed_family_graph(rng: random.Random, max_n: int = 24) -> Graph:
     if pick == 8:
         return paley(rng.choice([5, 13, 17]))
     return rook(4) if rng.random() < 0.5 else shrikhande()
+
+
+@st.composite
+def small_graphs(draw):
+    """Graphs on up to 16 vertices: edges confined to two blocks (so some are
+    disconnected), trailing isolated vertices, rows optionally shuffled."""
+    core = draw(st.integers(1, 16))
+    isolated = draw(st.integers(0, 16 - core))
+    split = draw(st.integers(0, core))
+    pairs = [(u, w) for u in range(core) for w in range(u + 1, core)
+             if (u < split) == (w < split)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    g = Graph(core + isolated, edges)
+    if draw(st.booleans()):
+        g = shuffled_copy(g, random.Random(draw(st.integers(0, 2**32 - 1))))
+    return g

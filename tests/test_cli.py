@@ -110,6 +110,13 @@ def test_certify_malformed_file(tmp_path, capsys):
     assert "self-loop" in capsys.readouterr().err
 
 
+def test_certify_refuses_oversized_vertex_count(tmp_path, capsys):
+    huge = tmp_path / "huge.col"
+    huge.write_text("p edge 1000000000 0\n", encoding="utf-8")
+    assert main(["certify", str(huge)]) == 2
+    assert "line 1: 1000000000 vertices exceed the limit" in capsys.readouterr().err
+
+
 def test_certify_warns_on_duplicate_edges(tmp_path, capsys):
     dup = tmp_path / "dup.col"
     dup.write_text("p edge 2 1\ne 1 2\ne 2 1\n", encoding="utf-8")

@@ -5,6 +5,7 @@ import io
 import pytest
 
 from rsvp.formats import (
+    MAX_VERTICES,
     GraphFormatWarning,
     ParseError,
     load_graph,
@@ -50,6 +51,16 @@ def test_parse_dimacs_self_loop_names_line():
 def test_parse_dimacs_errors(text, match):
     with pytest.raises(ParseError, match=match):
         parse_dimacs(text)
+
+
+def test_oversized_vertex_count_is_refused_before_allocation():
+    with pytest.raises(ParseError, match="line 2: 1000000000 vertices exceed the limit"):
+        parse_dimacs("c huge\np edge 1000000000 0\n")
+    with pytest.raises(ParseError, match="line 1: 1000000000 vertices exceed the limit"):
+        parse_edge_list("1000000000\n")
+    assert parse_dimacs(f"p edge {MAX_VERTICES} 0").n == MAX_VERTICES
+    with pytest.raises(ParseError, match="line 1"):
+        parse_edge_list(f"{MAX_VERTICES + 1}\n")
 
 
 def test_parse_dimacs_duplicate_edges_warn_and_collapse():

@@ -108,6 +108,24 @@ def test_random_regular_degrees_and_determinism():
     assert g.adjacency == random_regular(12, 3, seed=9).adjacency
 
 
+def test_random_regular_past_the_pairing_attempts():
+    # plain pairing fails all its attempts for d = 6 at n = 200 (seed 1
+    # raised before edge-switch repair existed)
+    graphs = [random_regular(200, 6, seed) for seed in (1, 2, 3)]
+    for seed, g in zip((1, 2, 3), graphs):
+        assert g.n == 200 and set(g.degree_sequence()) == {6}
+        assert g == random_regular(200, 6, seed)
+    assert graphs[0] != graphs[1] != graphs[2]
+
+
+@pytest.mark.parametrize("n,d", [(8, 7), (10, 7), (12, 9)])
+def test_random_regular_dense_degrees(n, d):
+    for seed in range(3):
+        g = random_regular(n, d, seed)
+        assert set(g.degree_sequence()) == {d}
+        assert g == random_regular(n, d, seed)
+
+
 def test_random_regular_invalid_parameters():
     with pytest.raises(ValueError):
         random_regular(5, 3, seed=0)  # odd n*d

@@ -4,9 +4,8 @@ import random
 
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from conftest import random_graph, shuffled_copy
+from conftest import random_graph, shuffled_copy, small_graphs
 from reference_reachability import aggregate_hp as reference_aggregate_hp
 from reference_reachability import deleted_neighborhood_bfs
 from rsvp.distances import bfs_distances
@@ -142,22 +141,6 @@ def test_tree_targets_have_one_shortest_route_group():
                 if grp.hop == dist[t] and grp.count == 1 and grp.parents == (pred[t],)
             ]
             assert len(matching) == 1
-
-
-@st.composite
-def small_graphs(draw):
-    """Graphs on up to 16 vertices: edges confined to two blocks (so some are
-    disconnected), trailing isolated vertices, rows optionally shuffled."""
-    core = draw(st.integers(1, 16))
-    isolated = draw(st.integers(0, 16 - core))
-    split = draw(st.integers(0, core))
-    pairs = [(u, w) for u in range(core) for w in range(u + 1, core)
-             if (u < split) == (w < split)]
-    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
-    g = Graph(core + isolated, edges)
-    if draw(st.booleans()):
-        g = shuffled_copy(g, random.Random(draw(st.integers(0, 2**32 - 1))))
-    return g
 
 
 @settings(max_examples=300, deadline=None)

@@ -5,8 +5,9 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
+from hypothesis import given, settings
 
-from conftest import random_graph, shuffled_copy
+from conftest import random_graph, shuffled_copy, small_graphs
 from rsvp.distances import distance_matrix
 from rsvp.generators import (
     complete,
@@ -25,6 +26,7 @@ from rsvp.signature import (
     avpd,
     certificate,
     hop_prime,
+    odd_primes,
     rsvp_compare,
     signature_element,
     verify_mapping,
@@ -54,6 +56,12 @@ def test_hop_prime_injective_and_guarded():
     assert len(set(values)) == len(values)
     with pytest.raises(ValueError):
         hop_prime(0)
+
+
+def test_odd_primes_is_the_hop_encoding():
+    assert odd_primes(0) == []
+    assert odd_primes(200) == sieve_odd_primes(200)
+    assert odd_primes(200) == [hop_prime(h) for h in range(1, 201)]
 
 
 def test_avpd_singleton_is_one():
@@ -104,6 +112,20 @@ def test_signature_element_is_product_of_group_factors():
             for grp in hp.groups[t]:
                 expected *= avpd(grp.parents, d) * hop_prime(grp.hop) ** grp.count
             assert signature_element(hp.groups[t], d) == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_graphs())
+def test_integer_signatures_match_the_fraction_definition(g):
+    # isolated vertices and two-block edge sets leave unreachable pairs
+    # (counted 0 in avpd) and unreachable targets (element 0/1)
+    d = distance_matrix(g)
+    signatures = []
+    for v in range(g.n):
+        expected = tuple(sorted(signature_element(grp, d) for grp in aggregate_hp(g, v).groups))
+        assert vertex_signature(g, v, d) == expected
+        signatures.append(expected)
+    assert certificate(g).signatures == tuple(sorted(signatures))
 
 
 def test_vertex_signature_k2():
