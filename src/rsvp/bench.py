@@ -16,13 +16,14 @@ aborts the run.
 
 from __future__ import annotations
 
+import concurrent.futures
 import csv
 import io
 import os
 import random
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
 from .formats import load_graph
@@ -217,14 +218,17 @@ def run_row(row: ManifestRow, oracle_limit: int = ORACLE_SIZE_LIMIT) -> ReportRo
 
 def run_bench(rows: list[ManifestRow], jobs: int = 1,
               oracle_limit: int = ORACLE_SIZE_LIMIT) -> list[ReportRow]:
-    """One report row per manifest row, preserving manifest order; at most
-    one worker per core, whatever ``jobs`` (>= 1) asks for."""
+    """One report row per manifest row, preserving manifest order; rows run
+    in worker processes, at most one per core, whatever ``jobs`` (>= 1)
+    asks for."""
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
     workers = min(jobs, os.cpu_count() or 1)
     if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(lambda r: run_row(r, oracle_limit), rows))
+        # first use loads the process pool and multiprocessing (~1.5 MB), so
+        # serial runs and run_row callers never pay for them
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(partial(run_row, oracle_limit=oracle_limit), rows))
     return [run_row(row, oracle_limit) for row in rows]
 
 

@@ -166,7 +166,7 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--csv", action="store_true",
                        help="emit CSV instead of the plain table")
     bench.add_argument("--jobs", type=int, default=1,
-                       help="rows run concurrently (>= 1, capped at the core count)")
+                       help="worker processes running rows (>= 1, capped at the core count)")
     bench.set_defaults(func=cmd_bench)
     return parser
 

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import random
 from collections import Counter, deque
+from collections.abc import Iterator
 from functools import lru_cache
 from math import comb
 
@@ -69,30 +70,37 @@ def find_isomorphism(g1: Graph, g2: Graph) -> Permutation | None:
     mapping = [-1] * n
     used = [False] * n
 
-    def assign(k: int) -> bool:
-        if k == n:
-            return True
-        u = order[k]
+    def extend(u: int) -> Iterator[int]:
+        # maps u to each of its candidates, ascending, that agrees with the
+        # mapping so far; resuming undoes the previous choice
         mapped_images = [mapping[w] for w in adj1[u] if mapping[w] >= 0]
         want = len(mapped_images)
         deg_u = len(adj1[u])
         for v in candidates[c1[u]]:
             if used[v] or len(adj2[v]) != deg_u:
                 continue
-            if any(x not in adjset2[v] for x in mapped_images):
+            if not adjset2[v].issuperset(mapped_images):
                 continue
             # every mapped neighbor of v must be the image of a neighbor of u
             if sum(used[x] for x in adj2[v]) != want:
                 continue
             mapping[u] = v
             used[v] = True
-            if assign(k + 1):
-                return True
+            yield v
             mapping[u] = -1
             used[v] = False
-        return False
 
-    if not assign(0):
+    # depth-first with an explicit stack, one candidate stream per mapped
+    # prefix of ``order``, so path-like graphs of any length fit
+    stack = [extend(order[0])]
+    while stack:
+        if next(stack[-1], None) is None:
+            stack.pop()
+        elif len(stack) == n:
+            break
+        else:
+            stack.append(extend(order[len(stack)]))
+    else:
         return None
     result = Permutation(tuple(mapping))
     if not verify_mapping(g1, g2, result):

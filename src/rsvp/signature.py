@@ -17,6 +17,8 @@ candidate mapping rather than an isomorphism claim.
 
 from __future__ import annotations
 
+from collections import deque
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -144,12 +146,13 @@ def vertex_signature(g: Graph, v: int, dist: DistanceMatrix) -> Signature:
     return _signature(aggregate_hp(g, v), _PairTotals(dist), odd_primes(g.n))
 
 
-def _signed_vertices(g: Graph) -> list[tuple[Signature, int]]:
-    """``(vertex_signature(g, v, ...), v)`` for every vertex, sorted; one
-    pair-total memo and one prime list (hops never exceed n) serve the whole
-    graph."""
+def _signatures(g: Graph) -> Iterator[Signature]:
+    """``vertex_signature(g, v, ...)`` for v = 0, 1, ..., each computed only
+    when asked for; one pair-total memo and one prime list (hops never exceed
+    n) serve the whole graph."""
     totals, primes = _PairTotals(distance_matrix(g)), odd_primes(g.n)
-    return sorted((_signature(aggregate_hp(g, v), totals, primes), v) for v in range(g.n))
+    for v in range(g.n):
+        yield _signature(aggregate_hp(g, v), totals, primes)
 
 
 @dataclass(frozen=True)
@@ -170,7 +173,7 @@ class Certificate:
 
 def certificate(g: Graph) -> Certificate:
     """Certificate of ``g``; equal for isomorphic graphs, one-sided otherwise."""
-    return Certificate(tuple(sig for sig, _ in _signed_vertices(g)))
+    return Certificate(tuple(sorted(_signatures(g))))
 
 
 @dataclass(frozen=True)
@@ -192,21 +195,29 @@ Verdict = NonIsomorphic | CertificatesEqual
 def rsvp_compare(g1: Graph, g2: Graph) -> Verdict:
     """Compare certificates; never calls truly isomorphic graphs non-isomorphic.
 
-    Differing vertex or edge counts short-circuit. Otherwise vertices are
-    matched greedily by equal signature; any unmatched signature means the
-    graphs are non-isomorphic, a full matching yields CertificatesEqual with
-    the induced candidate mapping.
+    Differing vertex counts, edge counts or degree sequences short-circuit
+    before any signature is computed. Otherwise g2's signatures are computed
+    one vertex at a time and each is matched to the lowest unmatched g1
+    vertex with an equal signature; the first one with no match left means
+    the graphs are non-isomorphic, and the rest are never computed. A full
+    matching yields CertificatesEqual with the induced candidate mapping,
+    which pairs the i-th smallest vertices of each signature class.
     """
     if g1.n != g2.n:
         return NonIsomorphic("vertex counts differ")
     if g1.m != g2.m:
         return NonIsomorphic("edge counts differ")
-    by_sig1, by_sig2 = _signed_vertices(g1), _signed_vertices(g2)
+    if g1.degree_sequence() != g2.degree_sequence():
+        return NonIsomorphic("degree sequences differ")
+    unmatched: dict[Signature, deque[int]] = {}
+    for v1, sig in enumerate(_signatures(g1)):
+        unmatched.setdefault(sig, deque()).append(v1)
     mapping = [0] * g1.n
-    for (sig1, v1), (sig2, v2) in zip(by_sig1, by_sig2):
-        if sig1 != sig2:
+    for v2, sig in enumerate(_signatures(g2)):
+        vertices = unmatched.get(sig)
+        if not vertices:
             return NonIsomorphic("certificates differ")
-        mapping[v1] = v2
+        mapping[vertices.popleft()] = v2
     return CertificatesEqual(Permutation(tuple(mapping)))
 
 

@@ -15,7 +15,7 @@ from rsvp.generators import (
     rook,
     shrikhande,
 )
-from rsvp.graphs import Graph
+from rsvp.graphs import Graph, Permutation, permute
 
 
 def shuffled_copy(g: Graph, rng: random.Random) -> Graph:
@@ -69,3 +69,17 @@ def small_graphs(draw):
     if draw(st.booleans()):
         g = shuffled_copy(g, random.Random(draw(st.integers(0, 2**32 - 1))))
     return g
+
+
+@st.composite
+def graph_pairs(draw):
+    """(g, h): g from ``small_graphs``; h an independent one, a random graph
+    with g's vertex and edge counts, or a relabeled, row-shuffled twin of g."""
+    g = draw(small_graphs())
+    kind = draw(st.sampled_from(("independent", "same-size", "twin")))
+    if kind == "independent":
+        return g, draw(small_graphs())
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    if kind == "same-size":
+        return g, random_gnm(g.n, g.m, rng.randrange(1 << 30))
+    return g, shuffled_copy(permute(g, Permutation.random(g.n, rng)), rng)

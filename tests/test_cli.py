@@ -5,14 +5,15 @@ import os
 import random
 import subprocess
 import sys
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import pytest
 
 from rsvp.cli import main
 from rsvp.formats import parse_dimacs, parse_edge_list, to_dimacs
-from rsvp.generators import cycle, paley, random_gnm, rook, shrikhande, worked_example
+from rsvp.generators import cycle, paley, path, random_gnm, rook, shrikhande, worked_example
+from rsvp.graphs import Graph
 
 
 @pytest.fixture
@@ -131,6 +132,13 @@ def test_compare_srg_pair_rsvp(graph_file, capsys):
     assert "non-isomorphic" in capsys.readouterr().out
 
 
+def test_compare_degree_sequence_gate(graph_file, capsys):
+    a = graph_file("star.col", Graph(4, [(0, 1), (0, 2), (0, 3)]))
+    b = graph_file("path.col", path(4))
+    assert main(["compare", a, b]) == 1
+    assert capsys.readouterr().out == "non-isomorphic (degree sequences differ)\n"
+
+
 def test_compare_srg_pair_wl(graph_file, capsys):
     a = graph_file("s.col", shrikhande())
     b = graph_file("r.col", rook(4))
@@ -193,13 +201,13 @@ def test_bench_rejects_jobs_below_one(jobs, capsys):
 def test_bench_jobs_capped_at_cpu_count(monkeypatch, capsys):
     started = []
 
-    class RecordingPool(ThreadPoolExecutor):
+    class RecordingPool(ProcessPoolExecutor):
         def __init__(self, max_workers):
             started.append(max_workers)
             super().__init__(max_workers=max_workers)
 
     monkeypatch.setattr("rsvp.bench.os.cpu_count", lambda: 2)
-    monkeypatch.setattr("rsvp.bench.ThreadPoolExecutor", RecordingPool)
+    monkeypatch.setattr("rsvp.bench.concurrent.futures.ProcessPoolExecutor", RecordingPool)
     assert main(["bench", "tables-builtin", "--jobs", "64"]) == 0
     assert started == [2]
     assert "summary:" in capsys.readouterr().out

@@ -5,13 +5,21 @@ from itertools import combinations
 
 import networkx as nx
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import random_graph
-from rsvp.generators import complete, cycle, disjoint_union, rook, shrikhande
+from conftest import graph_pairs, random_graph, shuffled_copy
+from rsvp.generators import complete, cycle, disjoint_union, path, rook, shrikhande
 from rsvp.graphs import Graph, Permutation, permute
 from rsvp.oracle import exhaustive_corpus, find_isomorphism
 from rsvp.refinement import WLVerdict, wl_compare
-from rsvp.signature import CertificatesEqual, rsvp_compare, verify_mapping
+from rsvp.signature import (
+    CertificatesEqual,
+    NonIsomorphic,
+    certificate,
+    rsvp_compare,
+    verify_mapping,
+)
 
 
 def to_networkx(g: Graph) -> nx.Graph:
@@ -36,6 +44,14 @@ def test_unverified_mapping_raises(monkeypatch):
     monkeypatch.setattr("rsvp.oracle.verify_mapping", lambda g1, g2, f: False)
     with pytest.raises(RuntimeError, match="not an isomorphism"):
         find_isomorphism(cycle(5), cycle(5))
+
+
+def test_long_paths_do_not_exhaust_the_stack():
+    g = path(1500)
+    h = permute(g, Permutation.random(g.n, random.Random(4)))
+    mapping = find_isomorphism(g, h)
+    assert mapping is not None
+    assert verify_mapping(g, h, mapping)
 
 
 def test_connectivity_difference():
@@ -116,3 +132,14 @@ def test_methods_never_contradict_oracle_isomorphisms():
             assert find_isomorphism(g, h) is not None
             assert isinstance(rsvp_compare(g, h), CertificatesEqual)
             assert wl_compare(g, h) is WLVerdict.POSSIBLY_ISOMORPHIC
+
+
+@settings(max_examples=150, deadline=None)
+@given(graph_pairs(), st.randoms(use_true_random=False))
+def test_non_isomorphic_verdicts_are_sound(pair, rng):
+    g, h = pair
+    if isinstance(rsvp_compare(g, h), NonIsomorphic) or wl_compare(g, h) is WLVerdict.NON_ISOMORPHIC:
+        assert find_isomorphism(g, h) is None
+    twin = shuffled_copy(permute(g, Permutation.random(g.n, rng)), rng)
+    assert isinstance(rsvp_compare(g, twin), CertificatesEqual)
+    assert certificate(twin) == certificate(g)

@@ -7,7 +7,7 @@ from math import gcd
 import pytest
 from hypothesis import given, settings
 
-from conftest import random_graph, shuffled_copy, small_graphs
+from conftest import graph_pairs, random_graph, shuffled_copy, small_graphs
 from rsvp.distances import distance_matrix
 from rsvp.generators import (
     complete,
@@ -225,6 +225,58 @@ def test_rsvp_compare_permuted_pair():
 
 def test_rsvp_compare_srg_pair():
     assert isinstance(rsvp_compare(shrikhande(), rook(4)), NonIsomorphic)
+
+
+def sort_and_zip_compare(g1: Graph, g2: Graph):
+    """Reference compare: every signature of both graphs, sorted with its
+    vertex and zipped; returns the verdict class and the mapping."""
+    if (g1.n, g1.m) != (g2.n, g2.m):
+        return NonIsomorphic, None
+    by_sig1, by_sig2 = (
+        sorted((vertex_signature(g, v, distance_matrix(g)), v) for v in range(g.n))
+        for g in (g1, g2)
+    )
+    mapping = [0] * g1.n
+    for (sig1, v1), (sig2, v2) in zip(by_sig1, by_sig2):
+        if sig1 != sig2:
+            return NonIsomorphic, None
+        mapping[v1] = v2
+    return CertificatesEqual, Permutation(tuple(mapping))
+
+
+@settings(max_examples=200, deadline=None)
+@given(graph_pairs())
+def test_streamed_compare_matches_sort_and_zip(pair):
+    g, h = pair
+    verdict = rsvp_compare(g, h)
+    mapping = verdict.mapping if isinstance(verdict, CertificatesEqual) else None
+    assert (type(verdict), mapping) == sort_and_zip_compare(g, h)
+
+
+def count_traversals(monkeypatch) -> list[int]:
+    calls: list[int] = []
+
+    def counting(g, v):
+        calls.append(v)
+        return aggregate_hp(g, v)
+
+    monkeypatch.setattr("rsvp.signature.aggregate_hp", counting)
+    return calls
+
+
+def test_compare_stops_at_the_first_unmatched_signature(monkeypatch):
+    calls = count_traversals(monkeypatch)
+    assert rsvp_compare(shrikhande(), rook(4)) == NonIsomorphic("certificates differ")
+    # all 16 of the Shrikhande graph's signatures, then the rook graph's first
+    assert len(calls) <= 17
+
+
+def test_degree_sequence_gate_computes_no_signature(monkeypatch):
+    calls = count_traversals(monkeypatch)
+    star = Graph(4, [(0, 1), (0, 2), (0, 3)])
+    assert (star.n, star.m) == (path(4).n, path(4).m)
+    assert rsvp_compare(star, path(4)) == NonIsomorphic("degree sequences differ")
+    assert calls == []
 
 
 def test_rsvp_compare_agrees_with_certificate_equality():
