@@ -20,23 +20,17 @@ import concurrent.futures
 import csv
 import io
 import os
-import random
 import time
 from dataclasses import dataclass
-from functools import partial
 from pathlib import Path
 
 from .formats import load_graph
-from .generators import disjoint_union, generate
-from .graphs import Graph, Permutation, permute
-from .oracle import find_isomorphism
+from .generators import graph_from_spec
+from .oracle import ORACLE_SIZE_LIMIT, find_isomorphism
 from .refinement import WLVerdict, wl_compare
 from .signature import NonIsomorphic, rsvp_compare
 
 EXPECTED_LABELS = ("iso", "non-iso", "unknown")
-
-# exact search is refused above this vertex count unless forced
-ORACLE_SIZE_LIMIT = 16
 
 
 @dataclass(frozen=True)
@@ -64,61 +58,6 @@ class ReportRow:
     error: str = ""
 
 
-_SPEC_ARITY = {
-    "cycle": 1,
-    "complete": 1,
-    "path": 1,
-    "rook": 1,
-    "paley": 1,
-    "shrikhande": 0,
-    "worked_example": 0,
-    "random_gnm": 3,
-    "random_regular": 3,
-}
-
-
-def _int_token(tokens: list[str], family: str) -> int:
-    if not tokens:
-        raise ValueError(f"generator {family!r}: missing parameter")
-    try:
-        return int(tokens[0])
-    except ValueError:
-        raise ValueError(
-            f"generator {family!r}: non-integer parameter {tokens[0]!r}"
-        ) from None
-
-
-def graph_from_spec_tokens(tokens: list[str]) -> tuple[Graph, list[str]]:
-    """Parse one generator spec from ``tokens``; returns (graph, leftover)."""
-    if not tokens:
-        raise ValueError("empty generator spec")
-    family, rest = tokens[0], tokens[1:]
-    if family == "disjoint_union":
-        a, rest = graph_from_spec_tokens(rest)
-        b, rest = graph_from_spec_tokens(rest)
-        return disjoint_union(a, b), rest
-    if family == "permuted":
-        seed = _int_token(rest, family)
-        sub, rest = graph_from_spec_tokens(rest[1:])
-        p = Permutation.random(sub.n, random.Random(seed))
-        return permute(sub, p), rest
-    if family not in _SPEC_ARITY:
-        known = ", ".join(sorted(_SPEC_ARITY) + ["disjoint_union", "permuted"])
-        raise ValueError(f"unknown generator family {family!r}; known: {known}")
-    params = []
-    for _ in range(_SPEC_ARITY[family]):
-        params.append(_int_token(rest, family))
-        rest = rest[1:]
-    return generate(family, *params), rest
-
-
-def graph_from_spec(spec: str) -> Graph:
-    graph, leftover = graph_from_spec_tokens(spec.split(":"))
-    if leftover:
-        raise ValueError(f"trailing generator spec tokens: {':'.join(leftover)}")
-    return graph
-
-
 def resolve_graph_ref(ref: str) -> Graph:
     """A ``gen:`` inline spec, or a readable graph file (format sniffed)."""
     if ref.startswith("gen:"):
@@ -135,6 +74,10 @@ def load_manifest(path: str | Path) -> list[ManifestRow]:
                 raise ValueError(f"manifest is missing column {column!r}")
         rows = []
         for record in reader:
+            for column in ("name", "graph_a", "graph_b"):
+                if record[column] is None:
+                    raise ValueError(f"manifest line {reader.line_num}, row {record['name']!r}: "
+                                     f"missing {column!r} cell")
             expected = (record["expected"] or "unknown").strip() or "unknown"
             if expected not in EXPECTED_LABELS:
                 raise ValueError(
@@ -182,7 +125,7 @@ def _agreement(expected: str, says_non_iso: bool) -> str:
     return ""
 
 
-def run_row(row: ManifestRow, oracle_limit: int = ORACLE_SIZE_LIMIT) -> ReportRow:
+def run_row(row: ManifestRow) -> ReportRow:
     report = ReportRow(name=row.name, expected=row.expected)
     try:
         a = resolve_graph_ref(row.graph_a)
@@ -206,7 +149,7 @@ def run_row(row: ManifestRow, oracle_limit: int = ORACLE_SIZE_LIMIT) -> ReportRo
     report.rsvp = "non-isomorphic" if rsvp_non_iso else "certificates-equal"
     report.rsvp_ok = _agreement(row.expected, rsvp_non_iso)
 
-    if max(a.n, b.n) <= oracle_limit:
+    if max(a.n, b.n) <= ORACLE_SIZE_LIMIT:
         t0 = time.perf_counter()
         found = find_isomorphism(a, b)
         report.oracle_ms = (time.perf_counter() - t0) * 1000.0
@@ -216,8 +159,7 @@ def run_row(row: ManifestRow, oracle_limit: int = ORACLE_SIZE_LIMIT) -> ReportRo
     return report
 
 
-def run_bench(rows: list[ManifestRow], jobs: int = 1,
-              oracle_limit: int = ORACLE_SIZE_LIMIT) -> list[ReportRow]:
+def run_bench(rows: list[ManifestRow], jobs: int = 1) -> list[ReportRow]:
     """One report row per manifest row, preserving manifest order; rows run
     in worker processes, at most one per core, whatever ``jobs`` (>= 1)
     asks for."""
@@ -228,8 +170,8 @@ def run_bench(rows: list[ManifestRow], jobs: int = 1,
         # first use loads the process pool and multiprocessing (~1.5 MB), so
         # serial runs and run_row callers never pay for them
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(partial(run_row, oracle_limit=oracle_limit), rows))
-    return [run_row(row, oracle_limit) for row in rows]
+            return list(pool.map(run_row, rows))
+    return [run_row(row) for row in rows]
 
 
 _COLUMNS = ("name", "expected", "n", "m", "wl", "wl_ms", "rsvp", "rsvp_ms",

@@ -18,19 +18,12 @@ import hashlib
 import sys
 import warnings
 
-from .bench import (
-    ORACLE_SIZE_LIMIT,
-    builtin_manifest,
-    format_csv,
-    format_table,
-    graph_from_spec_tokens,
-    load_manifest,
-    run_bench,
-    summary_line,
-)
+from .bench import (builtin_manifest, format_csv, format_table, load_manifest, run_bench,
+                    summary_line)
 from .formats import ParseError, load_graph, to_dimacs, to_edge_list
+from .generators import graph_from_spec
 from .graphs import Graph
-from .oracle import find_isomorphism
+from .oracle import ORACLE_SIZE_LIMIT, find_isomorphism
 from .refinement import WLVerdict, wl_compare
 from .signature import CertificatesEqual, certificate, rsvp_compare, verify_mapping
 
@@ -99,9 +92,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
-    graph, leftover = graph_from_spec_tokens([args.family] + args.params)
-    if leftover:
-        raise ValueError(f"unused generator parameters: {' '.join(leftover)}")
+    graph = graph_from_spec(":".join([args.family] + args.params))
     text = to_edge_list(graph) if args.format == "edgelist" else to_dimacs(graph)
     if args.output:
         with open(args.output, "w", encoding="utf-8") as handle:

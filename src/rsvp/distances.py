@@ -1,8 +1,11 @@
 """All-pairs hop distances by repeated breadth-first search.
 
-``None`` is the explicit unreachable marker inside the matrix; it is never a
-numeric sentinel. The convention that an unreachable pair counts as distance
-0 belongs to the signature layer, which is the only consumer of it.
+The matrix is what ``signature.avpd`` and ``signature.signature_element``,
+the definition of a signature element, take. Certificates do not use it: the
+parents they average over are pairwise at distance 1 or 2, which the edges
+among them decide. ``None`` is the explicit unreachable marker inside the
+matrix; it is never a numeric sentinel. The convention that an unreachable
+pair counts as distance 0 belongs to ``avpd``.
 """
 
 from __future__ import annotations

@@ -7,7 +7,7 @@ from collections import Counter
 from itertools import combinations
 from math import comb, isqrt
 
-from .graphs import Graph
+from .graphs import Graph, Permutation, permute
 
 _REGULAR_PAIRING_ATTEMPTS = 1000
 # tried double-edge switches per pair of the pairing before repair gives up
@@ -175,25 +175,68 @@ def worked_example() -> Graph:
     return Graph(6, [(0, 1), (0, 5), (1, 2), (2, 3), (2, 5), (3, 4), (4, 5)])
 
 
+# family -> (generator, number of integer parameters in a spec);
+# disjoint_union takes two graphs, given in a spec as two nested specs
 _FAMILIES = {
-    "cycle": cycle,
-    "complete": complete,
-    "path": path,
-    "disjoint_union": disjoint_union,
-    "rook": rook,
-    "shrikhande": shrikhande,
-    "paley": paley,
-    "random_gnm": random_gnm,
-    "random_regular": random_regular,
-    "worked_example": worked_example,
+    "cycle": (cycle, 1),
+    "complete": (complete, 1),
+    "path": (path, 1),
+    "disjoint_union": (disjoint_union, 0),
+    "rook": (rook, 1),
+    "shrikhande": (shrikhande, 0),
+    "paley": (paley, 1),
+    "random_gnm": (random_gnm, 3),
+    "random_regular": (random_regular, 3),
+    "worked_example": (worked_example, 0),
 }
+
+
+def _family(name: str):
+    try:
+        return _FAMILIES[name]
+    except KeyError:
+        known = ", ".join(sorted(_FAMILIES))
+        raise ValueError(f"unknown family {name!r}; known: {known}") from None
 
 
 def generate(family: str, *params) -> Graph:
     """Dispatch to a generator by family name."""
+    return _family(family)[0](*params)
+
+
+def _spec_ints(family: str, tokens: list[str], count: int) -> tuple[list[int], list[str]]:
+    if len(tokens) < count:
+        raise ValueError(f"generator {family!r}: missing parameter")
     try:
-        fn = _FAMILIES[family]
-    except KeyError:
-        known = ", ".join(sorted(_FAMILIES))
-        raise ValueError(f"unknown family {family!r}; known: {known}") from None
-    return fn(*params)
+        return [int(token) for token in tokens[:count]], tokens[count:]
+    except ValueError:
+        raise ValueError(f"generator {family!r}: non-integer parameter in "
+                         f"{':'.join(tokens[:count])!r}") from None
+
+
+def _parse_spec(tokens: list[str]) -> tuple[Graph, list[str]]:
+    """One generator spec from the front of ``tokens``; returns (graph, leftover)."""
+    if not tokens:
+        raise ValueError("empty generator spec")
+    family, rest = tokens[0], tokens[1:]
+    if family == "permuted":
+        (seed,), rest = _spec_ints(family, rest, 1)
+        sub, rest = _parse_spec(rest)
+        return permute(sub, Permutation.random(sub.n, random.Random(seed))), rest
+    fn, arity = _family(family)
+    if fn is disjoint_union:
+        a, rest = _parse_spec(rest)
+        b, rest = _parse_spec(rest)
+        return disjoint_union(a, b), rest
+    params, rest = _spec_ints(family, rest, arity)
+    return fn(*params), rest
+
+
+def graph_from_spec(spec: str) -> Graph:
+    """The graph of a colon-separated spec such as ``random_gnm:50:150:7``,
+    ``disjoint_union:complete:3:complete:3`` or ``permuted:42:paley:13`` (a
+    seeded random relabeling of a spec)."""
+    graph, leftover = _parse_spec(spec.split(":"))
+    if leftover:
+        raise ValueError(f"unused generator parameters: {':'.join(leftover)}")
+    return graph

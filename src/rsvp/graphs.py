@@ -44,9 +44,6 @@ class Graph:
     def degree(self, v: int) -> int:
         return len(self.adjacency[v])
 
-    def neighbors(self, v: int) -> list[int]:
-        return self.adjacency[v]
-
     def has_edge(self, u: int, w: int) -> bool:
         # linear scan on purpose: stays correct if a row was reordered
         return w in self.adjacency[u]

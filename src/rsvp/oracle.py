@@ -19,6 +19,9 @@ from .signature import verify_mapping
 
 _SAMPLED_CORPUS_SIZE = 32
 
+# exact search is refused above this vertex count unless forced
+ORACLE_SIZE_LIMIT = 16
+
 
 def _bfs_order(g: Graph) -> list[int]:
     # components in min-id order, FIFO within; keeps every prefix as

@@ -5,9 +5,13 @@ products of prime powers overflow floats long before interesting graph sizes.
 Hop counts are encoded injectively into odd primes, so equal signature
 elements mean equal hop/count structure up to the averaged parent distances.
 ``avpd`` and ``signature_element`` state the definition with
-``fractions.Fraction``; certificates compute the same values with an integer
-numerator and denominator per element, read straight from the hop-parent
-bitsets, and make one ``Fraction`` per element at the end.
+``fractions.Fraction`` and the all-pairs distance matrix; certificates compute
+the same values with an integer numerator and denominator per element, read
+straight from the hop-parent bitsets, and make one ``Fraction`` per element at
+the end. They need no distances: every parent of a target is a neighbor of
+it, so two parents are at distance 1 if adjacent and 2 (through the target)
+otherwise, and ``avpd(P) = 2 - e(P) / C(|P|, 2)`` with ``e(P)`` the number of
+edges inside ``P``.
 
 A certificate is the sorted multiset of vertex signatures. Relabeling a graph
 permutes the multiset, so certificates of isomorphic graphs are equal; the
@@ -24,7 +28,9 @@ from fractions import Fraction
 from itertools import combinations
 from math import comb, isqrt, lcm
 
-from .distances import DistanceMatrix, distance_matrix
+# distance_matrix is unused here; it stays bound because perfbench's
+# tracer patches rsvp.signature.distance_matrix
+from .distances import DistanceMatrix, distance_matrix  # noqa: F401
 from .graphs import Graph, Permutation
 from .reachability import Group, HopParentIndex, aggregate_hp, members
 
@@ -89,46 +95,34 @@ def signature_element(groups: tuple[Group, ...], dist: DistanceMatrix) -> Fracti
     return acc
 
 
-class _PairTotals(dict):
-    """Parent bitset (two or more parents) -> sum of the pairwise distances
-    inside it, unreachable pairs counting 0; ``avpd`` is this over the
-    number of pairs. Filled on first use and shared by every vertex of one
-    graph."""
-
-    def __init__(self, dist: DistanceMatrix) -> None:
-        super().__init__()
-        self.rows = dist.rows
-
-    def __missing__(self, bits: int) -> int:
-        parents = members(bits)
-        total = 0
-        for i, u in enumerate(parents[:-1]):
-            # filter(None) drops the unreachable pairs' None
-            total += sum(filter(None, map(self.rows[u].__getitem__, parents[i + 1:])))
-        self[bits] = total
-        return total
-
-
-def _signature(index: HopParentIndex, totals: _PairTotals, primes: list[int]) -> Signature:
+def _signature(index: HopParentIndex, totals: dict[int, int], primes: list[int]) -> Signature:
     """The sorted signature behind ``index``, built in integers.
 
     Each target's element is a numerator, the product over its groups of
     total(P) * prime(hop)**count, over a denominator, the product of the
-    pair counts C(|P|, 2) (a single parent contributes avpd 1). Elements
-    are sorted by the exact integer keys ``num * (scale // den)``, with
-    ``scale`` the lcm of the denominators, and only then become one
-    ``Fraction`` each.
+    pair counts C(|P|, 2) (a single parent contributes avpd 1). total(P) is
+    k(k - 1) - e(P) for k parents with e(P) edges among them, memoised in
+    ``totals`` on the parent bitset; the source is never a parent, so any
+    vertex's ``rows`` give the same e(P) and one memo serves every vertex
+    of a graph. Elements are sorted by the exact integer keys
+    ``num * (scale // den)``, with ``scale`` the lcm of the denominators,
+    and only then become one ``Fraction`` each.
     """
+    rows = index.rows
     reached = 0
     for bits in index.reached:
         reached |= bits
-    num = [reached >> t & 1 for t in range(len(index.rows))]
+    num = [reached >> t & 1 for t in range(len(rows))]
     den = [1] * len(num)
     for t, hop, count, parents in index.records():
         factor = primes[hop - 1] ** count
         if parents & (parents - 1):
             k = parents.bit_count()
-            num[t] *= totals[parents] * factor
+            total = totals.get(parents)
+            if total is None:
+                edges = sum((rows[u] & parents).bit_count() for u in members(parents)) // 2
+                total = totals[parents] = k * (k - 1) - edges
+            num[t] *= total * factor
             den[t] *= k * (k - 1) // 2
         else:
             num[t] *= factor
@@ -140,17 +134,19 @@ def _signature(index: HopParentIndex, totals: _PairTotals, primes: list[int]) ->
 def vertex_signature(g: Graph, v: int, dist: DistanceMatrix) -> Signature:
     """Sorted sequence of the n signature elements of ``v``.
 
-    ``dist`` must be the distance matrix of ``g`` itself. The element for
-    ``v`` is always 0, so every signature has length exactly n and contains 0.
+    ``dist`` is no longer read; it is kept for callers that pass the
+    distance matrix of ``g``. The element for ``v`` is always 0, so every
+    signature has length exactly n and contains 0.
     """
-    return _signature(aggregate_hp(g, v), _PairTotals(dist), odd_primes(g.n))
+    return _signature(aggregate_hp(g, v), {}, odd_primes(g.n))
 
 
 def _signatures(g: Graph) -> Iterator[Signature]:
     """``vertex_signature(g, v, ...)`` for v = 0, 1, ..., each computed only
     when asked for; one pair-total memo and one prime list (hops never exceed
     n) serve the whole graph."""
-    totals, primes = _PairTotals(distance_matrix(g)), odd_primes(g.n)
+    totals: dict[int, int] = {}
+    primes = odd_primes(g.n)
     for v in range(g.n):
         yield _signature(aggregate_hp(g, v), totals, primes)
 

@@ -227,6 +227,15 @@ def test_bench_manifest_file_and_error_row(tmp_path, capsys):
     assert "errors: 1" in out
 
 
+def test_bench_manifest_row_with_missing_cells(tmp_path, capsys):
+    manifest = tmp_path / "short.csv"
+    manifest.write_text("name,graph_a,graph_b,expected\nx,gen:cycle:6\n", encoding="utf-8")
+    assert main(["bench", str(manifest)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "'x'" in err and "'graph_b'" in err
+
+
 def test_bench_unreadable_manifest(capsys):
     assert main(["bench", "/nonexistent/manifest.csv"]) == 2
 

@@ -13,6 +13,7 @@ from rsvp.generators import (
     complete,
     cycle,
     disjoint_union,
+    paley,
     path,
     rook,
     shrikhande,
@@ -277,6 +278,19 @@ def test_degree_sequence_gate_computes_no_signature(monkeypatch):
     assert (star.n, star.m) == (path(4).n, path(4).m)
     assert rsvp_compare(star, path(4)) == NonIsomorphic("degree sequences differ")
     assert calls == []
+
+
+def test_certificate_path_computes_no_distances(monkeypatch):
+    # parents of one target are pairwise at distance 1 or 2, so avpd needs
+    # only the edges inside the parent set, never a BFS
+    expected = certificate(paley(13))
+
+    def refuse(g, s):
+        raise AssertionError("the certificate path ran a BFS")
+
+    monkeypatch.setattr("rsvp.distances.bfs_distances", refuse)
+    assert certificate(paley(13)) == expected
+    assert rsvp_compare(shrikhande(), rook(4)) == NonIsomorphic("certificates differ")
 
 
 def test_rsvp_compare_agrees_with_certificate_equality():
