@@ -92,15 +92,26 @@ def paley(q: int) -> Graph:
 
 
 def random_gnm(n: int, m: int, seed: int) -> Graph:
-    """Uniform simple graph with exactly n vertices and m edges."""
+    """Uniform simple graph with exactly n vertices and m edges.
+
+    The edges are m distinct positions in the lexicographic list of the
+    C(n, 2) pairs, sampled from a ``range`` and decoded, so the list itself
+    is never built.
+    """
     if n < 0:
         raise ValueError("n must be >= 0")
     limit = comb(n, 2)
     if not 0 <= m <= limit:
         raise ValueError(f"m={m} outside 0..{limit} for n={n}")
     rng = random.Random(seed)
-    pairs = [(u, w) for u in range(n) for w in range(u + 1, n)]
-    return Graph(n, rng.sample(pairs, m))
+    edges = []
+    for i in rng.sample(range(limit), m):
+        # counted from the end, pair i is the r-th, and the pairs whose first
+        # vertex is u follow the C(a, 2) pairs of the a = n - 1 - u larger ones
+        r = limit - 1 - i
+        a = (isqrt(8 * r + 1) + 1) // 2
+        edges.append((n - 1 - a, n - 1 - r + a * (a - 1) // 2))
+    return Graph(n, edges)
 
 
 def _edge(u: int, w: int) -> tuple[int, int]:

@@ -14,9 +14,13 @@ class Graph:
     in ``m``. Adjacency rows are sorted ascending on construction; that is a
     storage convention only and no algorithm in this package may depend on
     row order (the certificate pipeline is tested against shuffled rows).
+
+    ``bits`` holds the same rows as ``int`` bitsets (bit ``w`` of ``bits[u]``
+    is set iff u ~ w). It is built on first use, so graphs that never reach
+    the signature path never allocate its n²/8 bytes.
     """
 
-    __slots__ = ("n", "m", "adjacency")
+    __slots__ = ("n", "m", "adjacency", "_bits")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()) -> None:
         if n < 0:
@@ -40,6 +44,13 @@ class Graph:
         self.n = n
         self.m = len(seen)
         self.adjacency = adjacency
+        self._bits: tuple[int, ...] | None = None
+
+    @property
+    def bits(self) -> tuple[int, ...]:
+        if self._bits is None:
+            self._bits = tuple(sum(1 << w for w in row) for row in self.adjacency)
+        return self._bits
 
     def degree(self, v: int) -> int:
         return len(self.adjacency[v])

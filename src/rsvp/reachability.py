@@ -40,11 +40,13 @@ class HopParentIndex:
     ``layers[k]``, ``reached[k]`` and ``counters[k]`` are, merged over the
     starts, the union of the layers L_k, the union of N(L_k), and the
     bit-sliced per-vertex count of starts whose N(L_k) holds the vertex;
-    ``rows[u]`` is N(u) without the source. ``records`` walks them, and
-    ``groups`` is decoded from that walk on first use: ``groups[t]`` is
-    ordered by strictly increasing hop, and targets that no traversal
-    reached, and the source itself, get an empty tuple. Two indexes are
-    equal when their sources and groups are.
+    ``rows`` are the graph's own adjacency bitsets. No layer holds the
+    source, so a target's parents ``rows[t] & layer`` never do either.
+    ``classes`` walks the layers one count class at a time, and ``groups``
+    is decoded from that walk on first use: ``groups[t]`` is ordered by
+    strictly increasing hop, and targets that no traversal reached, and the
+    source itself, get an empty tuple. Two indexes are equal when their
+    sources and groups are.
     """
 
     source: int
@@ -53,28 +55,33 @@ class HopParentIndex:
     reached: tuple[int, ...] = field(repr=False)
     counters: tuple[tuple[int, ...], ...] = field(repr=False)
 
-    def records(self) -> Iterator[tuple[int, int, int, int]]:
-        """``(target, hop, count, parents)`` for every group, hop ascending
-        and targets ascending within a hop; ``parents`` is a bitset."""
-        rows = self.rows
+    def classes(self) -> Iterator[tuple[int, int, int, int]]:
+        """``(hop, count, targets, layer)`` for every nonempty count class,
+        hop ascending: ``targets`` is the bitset of the vertices that exactly
+        ``count`` starts reach at ``hop``, and target t's parents are
+        ``rows[t] & layer``. A layer's targets are split down the counter's
+        bit slices, so the cost is per class, not per target."""
         for k, (layer, targets, counter) in enumerate(
                 zip(self.layers, self.reached, self.counters)):
-            hop = k + 2
-            while targets:
-                low = targets & -targets
-                t = low.bit_length() - 1
-                targets ^= low
-                count = 0
-                for i, digit in enumerate(counter):
-                    if digit & low:
-                        count |= 1 << i
-                yield t, hop, count, rows[t] & layer
+            parts = [(0, targets)]
+            for i, digit in enumerate(counter):
+                split = []
+                for count, bits in parts:
+                    if ones := bits & digit:
+                        split.append((count | 1 << i, ones))
+                    if zeros := bits & ~digit:
+                        split.append((count, zeros))
+                parts = split
+            for count, bits in parts:
+                yield k + 2, count, bits, layer
 
     @cached_property
     def groups(self) -> tuple[tuple[Group, ...], ...]:
-        per_target: list[list[Group]] = [[] for _ in self.rows]
-        for t, hop, count, parents in self.records():
-            per_target[t].append(Group(hop, count, members(parents)))
+        rows = self.rows
+        per_target: list[list[Group]] = [[] for _ in rows]
+        for hop, count, targets, layer in self.classes():
+            for t in members(targets):
+                per_target[t].append(Group(hop, count, members(rows[t] & layer)))
         return tuple(map(tuple, per_target))
 
     def __eq__(self, other: object) -> bool:
@@ -116,8 +123,8 @@ def aggregate_hp(g: Graph, v: int) -> HopParentIndex:
     """
     if not 0 <= v < g.n:
         raise ValueError(f"vertex {v} outside 0..{g.n - 1}")
+    rows = g.bits
     without_v = ~(1 << v)
-    rows = [sum(1 << w for w in row) & without_v for row in g.adjacency]
 
     # per layer k, merged over the starts: the union of L_k, the union of
     # N(L_k), and per vertex the number of starts whose N(L_k) holds it
@@ -134,6 +141,7 @@ def aggregate_hp(g: Graph, v: int) -> HopParentIndex:
                 low = rest & -rest
                 near |= rows[low.bit_length() - 1]
                 rest ^= low
+            near &= without_v  # v is deleted: it joins no layer
             if k == len(layers):
                 layers.append(frontier)
                 reached.append(near)
@@ -146,5 +154,5 @@ def aggregate_hp(g: Graph, v: int) -> HopParentIndex:
             seen |= frontier
             k += 1
 
-    return HopParentIndex(v, tuple(rows), tuple(layers), tuple(reached),
+    return HopParentIndex(v, rows, tuple(layers), tuple(reached),
                           tuple(map(tuple, counters)))

@@ -100,11 +100,12 @@ def _signature(index: HopParentIndex, totals: dict[int, int], primes: list[int])
 
     Each target's element is a numerator, the product over its groups of
     total(P) * prime(hop)**count, over a denominator, the product of the
-    pair counts C(|P|, 2) (a single parent contributes avpd 1). total(P) is
-    k(k - 1) - e(P) for k parents with e(P) edges among them, memoised in
-    ``totals`` on the parent bitset; the source is never a parent, so any
-    vertex's ``rows`` give the same e(P) and one memo serves every vertex
-    of a graph. Elements are sorted by the exact integer keys
+    pair counts C(|P|, 2) (a single parent contributes avpd 1). The index is
+    walked one count class at a time, so ``prime(hop)**count`` is computed
+    once per class and shared by its targets. total(P) is k(k - 1) - e(P)
+    for k parents with e(P) edges among them, memoised in ``totals`` on the
+    parent bitset; ``rows`` are the graph's own, so one memo serves every
+    vertex of a graph. Elements are sorted by the exact integer keys
     ``num * (scale // den)``, with ``scale`` the lcm of the denominators,
     and only then become one ``Fraction`` each.
     """
@@ -114,18 +115,23 @@ def _signature(index: HopParentIndex, totals: dict[int, int], primes: list[int])
         reached |= bits
     num = [reached >> t & 1 for t in range(len(rows))]
     den = [1] * len(num)
-    for t, hop, count, parents in index.records():
+    for hop, count, targets, layer in index.classes():
         factor = primes[hop - 1] ** count
-        if parents & (parents - 1):
-            k = parents.bit_count()
-            total = totals.get(parents)
-            if total is None:
-                edges = sum((rows[u] & parents).bit_count() for u in members(parents)) // 2
-                total = totals[parents] = k * (k - 1) - edges
-            num[t] *= total * factor
-            den[t] *= k * (k - 1) // 2
-        else:
-            num[t] *= factor
+        while targets:
+            low = targets & -targets
+            t = low.bit_length() - 1
+            targets ^= low
+            parents = rows[t] & layer
+            if parents & (parents - 1):
+                k = parents.bit_count()
+                total = totals.get(parents)
+                if total is None:
+                    edges = sum((rows[u] & parents).bit_count() for u in members(parents)) // 2
+                    total = totals[parents] = k * (k - 1) - edges
+                num[t] *= total * factor
+                den[t] *= k * (k - 1) // 2
+            else:
+                num[t] *= factor
     scale = lcm(*den)
     keyed = sorted(zip([a * (scale // b) for a, b in zip(num, den)], num, den))
     return tuple([Fraction(a, b) for _, a, b in keyed])
@@ -223,9 +229,7 @@ def verify_mapping(g1: Graph, g2: Graph, f: Permutation) -> bool:
         raise ValueError("mapping size does not match the graphs")
     if g1.m != g2.m:
         return False
-    edges2 = {(u, w) for u, w in g2.edges()}
-    for u, w in g1.edges():
-        fu, fw = f[u], f[w]
-        if ((fu, fw) if fu < fw else (fw, fu)) not in edges2:
-            return False
-    return True
+    # f is injective and the edge counts are equal, so edges to edges is
+    # enough: it leaves no g2 edge for a g1 non-edge to map onto
+    rows2 = g2.bits
+    return all(rows2[f[u]] >> f[w] & 1 for u, w in g1.edges())

@@ -1,6 +1,9 @@
 from __future__ import annotations
 
+import random
+import tracemalloc
 from itertools import combinations
+from math import comb
 
 import pytest
 
@@ -100,6 +103,37 @@ def test_random_gnm_exact_counts_and_determinism():
     assert g != random_gnm(20, 35, seed=6)
     with pytest.raises(ValueError):
         random_gnm(4, 7, seed=0)
+
+
+def _random_gnm_from_pair_list(n: int, m: int, seed: int) -> Graph:
+    # the construction random_gnm replaced: sample the materialised pair list
+    rng = random.Random(seed)
+    pairs = [(u, w) for u in range(n) for w in range(u + 1, n)]
+    return Graph(n, rng.sample(pairs, m))
+
+
+def test_random_gnm_matches_the_pair_list_construction():
+    rng = random.Random(29)
+    draws = [(n, m) for n in (0, 1, 2) for m in range(comb(n, 2) + 1)]
+    draws += [(n, m) for n in (3, 9, 40) for m in (0, comb(n, 2))]
+    for _ in range(300):
+        n = rng.randint(0, 50)
+        draws.append((n, rng.randint(0, comb(n, 2))))
+    for n, m in draws:
+        seed = rng.randrange(1 << 30)
+        assert random_gnm(n, m, seed).adjacency == _random_gnm_from_pair_list(n, m, seed).adjacency
+
+
+def test_random_gnm_memory_does_not_grow_with_the_pair_count():
+    # C(2000, 2) is about 2M pairs; a handful of edges must not build them
+    tracemalloc.start()
+    try:
+        g = random_gnm(2000, 10, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (g.n, g.m) == (2000, 10)
+    assert peak < 1_000_000
 
 
 def test_random_regular_degrees_and_determinism():

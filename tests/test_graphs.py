@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_graph
-from rsvp.generators import complete, path
+from conftest import random_graph, shuffled_copy
+from rsvp.generators import complete, disjoint_union, path, paley
 from rsvp.graphs import Graph, Permutation, permute
 
 
@@ -99,3 +99,18 @@ def test_permute_preserves_degree_multiset():
     g = random_graph(rng, max_n=12)
     p = Permutation.random(g.n, rng)
     assert permute(g, p).degree_sequence() == g.degree_sequence()
+
+
+def test_bits_agree_with_adjacency():
+    rng = random.Random(23)
+    g = paley(13)
+    for h in (
+        shuffled_copy(g, rng),
+        permute(g, Permutation.random(g.n, rng)),
+        disjoint_union(path(4), complete(3)),
+        Graph(0),
+        Graph(3),
+    ):
+        assert len(h.bits) == h.n
+        assert all(h.bits[u] >> w & 1 == h.has_edge(u, w)
+                   for u in range(h.n) for w in range(h.n))

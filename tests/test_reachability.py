@@ -9,7 +9,7 @@ from conftest import random_graph, shuffled_copy, small_graphs
 from reference_reachability import aggregate_hp as reference_aggregate_hp
 from reference_reachability import deleted_neighborhood_bfs
 from rsvp.distances import bfs_distances
-from rsvp.generators import complete, disjoint_union, worked_example
+from rsvp.generators import complete, disjoint_union, paley, rook, worked_example
 from rsvp.graphs import Graph, Permutation, permute
 from rsvp.reachability import Group, aggregate_hp
 
@@ -150,3 +150,12 @@ def test_bitset_kernel_matches_per_edge_reference(g):
         hp = aggregate_hp(g, v)
         assert hp.source == v
         assert hp.groups == reference_aggregate_hp(g, v).groups
+
+
+@pytest.mark.parametrize("g", [complete(17), paley(29), rook(6)],
+                         ids=["complete17", "paley29", "rook6"])
+def test_counters_with_many_bit_slices_match_the_reference(g):
+    # start counts up to deg v (10 to 16) need 4-5 counter slices, more
+    # than the 16-vertex property graphs reach
+    for v in range(g.n):
+        assert aggregate_hp(g, v).groups == reference_aggregate_hp(g, v).groups
