@@ -26,6 +26,7 @@ from pathlib import Path
 
 from .formats import load_graph
 from .generators import graph_from_spec
+from .graphs import Graph
 from .oracle import ORACLE_SIZE_LIMIT, find_isomorphism
 from .refinement import WLVerdict, wl_compare
 from .signature import NonIsomorphic, rsvp_compare

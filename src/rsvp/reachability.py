@@ -34,8 +34,7 @@ class Group(NamedTuple):
 
 @dataclass(frozen=True, eq=False)
 class HopParentIndex:
-    """Per-target groups for one source vertex, kept as the layered bitsets
-    the traversals produced.
+    """The per-target groups of one source, as the traversals' layered bitsets.
 
     ``layers[k]``, ``reached[k]`` and ``counters[k]`` are, merged over the
     starts, the union of the layers L_k, the union of N(L_k), and the
@@ -51,9 +50,11 @@ class HopParentIndex:
 
     source: int
     rows: tuple[int, ...] = field(repr=False)
-    layers: tuple[int, ...] = field(repr=False)
-    reached: tuple[int, ...] = field(repr=False)
-    counters: tuple[tuple[int, ...], ...] = field(repr=False)
+    # lists, not tuple copies: copies freed per vertex pile up on CPython's tuple
+    # free lists, which only a generation-2 collection (rare here) empties
+    layers: list[int] = field(repr=False)
+    reached: list[int] = field(repr=False)
+    counters: list[list[int]] = field(repr=False)
 
     def classes(self) -> Iterator[tuple[int, int, int, int]]:
         """``(hop, count, targets, layer)`` for every nonempty count class,
@@ -154,5 +155,4 @@ def aggregate_hp(g: Graph, v: int) -> HopParentIndex:
             seen |= frontier
             k += 1
 
-    return HopParentIndex(v, rows, tuple(layers), tuple(reached),
-                          tuple(map(tuple, counters)))
+    return HopParentIndex(v, rows, layers, reached, counters)

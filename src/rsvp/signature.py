@@ -6,12 +6,12 @@ Hop counts are encoded injectively into odd primes, so equal signature
 elements mean equal hop/count structure up to the averaged parent distances.
 ``avpd`` and ``signature_element`` state the definition with
 ``fractions.Fraction`` and the all-pairs distance matrix; certificates compute
-the same values with an integer numerator and denominator per element, read
-straight from the hop-parent bitsets, and make one ``Fraction`` per element at
-the end. They need no distances: every parent of a target is a neighbor of
-it, so two parents are at distance 1 if adjacent and 2 (through the target)
-otherwise, and ``avpd(P) = 2 - e(P) / C(|P|, 2)`` with ``e(P)`` the number of
-edges inside ``P``.
+the same values as an integer numerator and denominator per element, read from
+the hop-parent bitsets, and keep each signature as its text line in lowest
+terms, building no ``Fraction``. They need no distances: every parent of a
+target is a neighbor of it, so two parents are at distance 1 if adjacent and 2
+(through the target) otherwise, and ``avpd(P) = 2 - e(P) / C(|P|, 2)`` with
+``e(P)`` the number of edges inside ``P``.
 
 A certificate is the sorted multiset of vertex signatures. Relabeling a graph
 permutes the multiset, so certificates of isomorphic graphs are equal; the
@@ -26,7 +26,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import comb, isqrt, lcm
+from math import comb, gcd, isqrt, lcm
 
 # distance_matrix is unused here; it stays bound because perfbench's
 # tracer patches rsvp.signature.distance_matrix
@@ -95,8 +95,8 @@ def signature_element(groups: tuple[Group, ...], dist: DistanceMatrix) -> Fracti
     return acc
 
 
-def _signature(index: HopParentIndex, totals: dict[int, int], primes: list[int]) -> Signature:
-    """The sorted signature behind ``index``, built in integers.
+def _signature(index: HopParentIndex, totals: dict[int, int], primes: list[int]) -> str:
+    """The sorted signature behind ``index`` as its text line, built in integers.
 
     Each target's element is a numerator, the product over its groups of
     total(P) * prime(hop)**count, over a denominator, the product of the
@@ -107,7 +107,7 @@ def _signature(index: HopParentIndex, totals: dict[int, int], primes: list[int])
     parent bitset; ``rows`` are the graph's own, so one memo serves every
     vertex of a graph. Elements are sorted by the exact integer keys
     ``num * (scale // den)``, with ``scale`` the lcm of the denominators,
-    and only then become one ``Fraction`` each.
+    and written as ``key/scale`` in lowest terms (0 as ``0/1``), comma-joined.
     """
     rows = index.rows
     reached = 0
@@ -133,8 +133,8 @@ def _signature(index: HopParentIndex, totals: dict[int, int], primes: list[int])
             else:
                 num[t] *= factor
     scale = lcm(*den)
-    keyed = sorted(zip([a * (scale // b) for a, b in zip(num, den)], num, den))
-    return tuple([Fraction(a, b) for _, a, b in keyed])
+    keys = sorted([a * (scale // b) for a, b in zip(num, den)])
+    return ",".join([f"{k // (g := gcd(k, scale))}/{scale // g}" for k in keys])
 
 
 def vertex_signature(g: Graph, v: int, dist: DistanceMatrix) -> Signature:
@@ -144,13 +144,12 @@ def vertex_signature(g: Graph, v: int, dist: DistanceMatrix) -> Signature:
     distance matrix of ``g``. The element for ``v`` is always 0, so every
     signature has length exactly n and contains 0.
     """
-    return _signature(aggregate_hp(g, v), {}, odd_primes(g.n))
+    return tuple(map(Fraction, _signature(aggregate_hp(g, v), {}, odd_primes(g.n)).split(",")))
 
 
-def _signatures(g: Graph) -> Iterator[Signature]:
-    """``vertex_signature(g, v, ...)`` for v = 0, 1, ..., each computed only
-    when asked for; one pair-total memo and one prime list (hops never exceed
-    n) serve the whole graph."""
+def _signatures(g: Graph) -> Iterator[str]:
+    """The lines of ``vertex_signature(g, v, ...)`` for v = 0, 1, ..., computed
+    lazily, with one pair-total memo and one prime list (hops <= n) per graph."""
     totals: dict[int, int] = {}
     primes = odd_primes(g.n)
     for v in range(g.n):
@@ -159,18 +158,18 @@ def _signatures(g: Graph) -> Iterator[Signature]:
 
 @dataclass(frozen=True)
 class Certificate:
-    """All n vertex signatures, sorted lexicographically."""
+    """All n vertex signatures as their canonical text lines, sorted."""
 
-    signatures: tuple[Signature, ...]
+    lines: tuple[str, ...]
+
+    @property
+    def signatures(self) -> tuple[Signature, ...]:
+        return tuple(sorted(tuple(map(Fraction, line.split(","))) for line in self.lines))
 
     def serialize(self) -> str:
         """Bit-exact text form: one signature per line, elements ascending as
         ``<num>/<den>`` in lowest terms, lines sorted, newline-terminated."""
-        lines = [
-            ",".join(f"{e.numerator}/{e.denominator}" for e in sig)
-            for sig in self.signatures
-        ]
-        return "".join(line + "\n" for line in sorted(lines))
+        return "".join([line + "\n" for line in self.lines])
 
 
 def certificate(g: Graph) -> Certificate:
@@ -211,7 +210,7 @@ def rsvp_compare(g1: Graph, g2: Graph) -> Verdict:
         return NonIsomorphic("edge counts differ")
     if g1.degree_sequence() != g2.degree_sequence():
         return NonIsomorphic("degree sequences differ")
-    unmatched: dict[Signature, deque[int]] = {}
+    unmatched: dict[str, deque[int]] = {}
     for v1, sig in enumerate(_signatures(g1)):
         unmatched.setdefault(sig, deque()).append(v1)
     mapping = [0] * g1.n

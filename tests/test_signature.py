@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import random
 from fractions import Fraction
 from math import gcd
@@ -13,6 +14,7 @@ from rsvp.generators import (
     complete,
     cycle,
     disjoint_union,
+    graph_from_spec,
     paley,
     path,
     rook,
@@ -126,7 +128,13 @@ def test_integer_signatures_match_the_fraction_definition(g):
         expected = tuple(sorted(signature_element(grp, d) for grp in aggregate_hp(g, v).groups))
         assert vertex_signature(g, v, d) == expected
         signatures.append(expected)
-    assert certificate(g).signatures == tuple(sorted(signatures))
+    cert = certificate(g)
+    assert cert.signatures == tuple(sorted(signatures))
+    # the text is canonical: every element in lowest terms, 0 as 0/1
+    for line in cert.serialize().splitlines():
+        for token in line.split(","):
+            x = Fraction(token)
+            assert token == f"{x.numerator}/{x.denominator}"
 
 
 def test_vertex_signature_k2():
@@ -199,10 +207,37 @@ def test_serialize_shape_and_exactness():
     assert lines == sorted(lines)
     assert len(lines) == 6
     for sig in cert.signatures:
-        for element in sig:
-            assert isinstance(element, Fraction)
-            assert element.denominator >= 1
-            assert gcd(abs(element.numerator), element.denominator) == 1
+        assert all(isinstance(element, Fraction) for element in sig)
+    # read from the text: the parsed Fractions are in lowest terms anyway
+    for line in lines:
+        for token in line.split(","):
+            num, den = map(int, token.split("/"))
+            assert den >= 1
+            assert gcd(num, den) == 1
+
+
+# sha256 of certificate(graph_from_spec(spec)).serialize(); the bytes are the
+# certificate format, so a change here is a format change
+CERTIFICATE_SHA256 = [
+    ("worked_example", "b307807b12454b0ae3e61637a9df522b09fcfc130c348a7b4db7990e6ce157c3"),
+    ("paley:29", "17b4eccbf0727fc6a7b22a62c4a4865e8c4ddcfb583e5e71fc1765d44915c1c6"),
+    ("rook:5", "0a1140b91e9f8a9b32863f6b586c7f7eb6f6f6b7028925986eb29c1ca3e3939b"),
+    ("shrikhande", "891e7b480d336e6ce81ad1f425cf3f0ddf7491a5505216614a1dd78329908528"),
+    ("cycle:33", "ea6ffd53656d2d38e9c4d72892f33abb91ca38825f97906dd1f622588c81ef45"),
+    ("path:25", "4e3f7b7b94a574b63ba88cf793f626d27e68ef3deae30858c5cc13408a9eb474"),
+    ("random_gnm:40:120:1", "2031a6c0fa8213cfdcc8753e7fdcb1206d63fa7ac9619706417ab1a64b0270bb"),
+    ("random_regular:30:3:2", "8fcb85b335face5bd0e39c8bd6a2f9694e1cbc0f710a80f31e0399a99f2a7295"),
+    ("disjoint_union:complete:3:cycle:5",
+     "1c830df6dea070579c84a66a5d0ba131260c5f83fb594c00406817f5936814a3"),
+    ("permuted:7:random_gnm:24:100:3",
+     "7b9187fd23e52259cbedc3b50d990a43f1382ff9a813ef50240cf4769a0d29ec"),
+]
+
+
+@pytest.mark.parametrize("spec, digest", CERTIFICATE_SHA256)
+def test_certificate_bytes_are_pinned(spec, digest):
+    text = certificate(graph_from_spec(spec)).serialize()
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
 
 
 def test_rsvp_compare_size_gate():
@@ -291,6 +326,22 @@ def test_certificate_path_computes_no_distances(monkeypatch):
     monkeypatch.setattr("rsvp.distances.bfs_distances", refuse)
     assert certificate(paley(13)) == expected
     assert rsvp_compare(shrikhande(), rook(4)) == NonIsomorphic("certificates differ")
+
+
+def test_certify_and_compare_build_no_fraction(monkeypatch):
+    # signatures stay integer keys and then text lines; Fraction is only the
+    # definition's type and the parsed view of a certificate
+    expected = certificate(paley(13)).serialize()
+    g = random_graph(random.Random(43), max_n=10)
+    twin = permute(g, Permutation.random(g.n, random.Random(47)))
+
+    def refuse(*args):
+        raise AssertionError("a Fraction was built on the certify/compare path")
+
+    monkeypatch.setattr("rsvp.signature.Fraction", refuse)
+    assert certificate(paley(13)).serialize() == expected
+    assert rsvp_compare(shrikhande(), rook(4)) == NonIsomorphic("certificates differ")
+    assert isinstance(rsvp_compare(g, twin), CertificatesEqual)
 
 
 def test_rsvp_compare_agrees_with_certificate_equality():
