@@ -39,11 +39,16 @@ def _load(path: str, fmt: str | None) -> Graph:
 
 def cmd_certify(args: argparse.Namespace) -> int:
     graph = _load(args.input, args.format)
-    text = certificate(graph).serialize()
-    sys.stdout.write(text)
+    # line by line, so the whole serialized text and its encoded copy are
+    # never held next to the certificate; the bytes are serialize()'s
+    digest = hashlib.sha256()
+    for line in certificate(graph).lines:
+        text = line + "\n"
+        sys.stdout.write(text)
+        if args.digest:
+            digest.update(text.encode("utf-8"))
     if args.digest:
-        digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
-        print(f"sha256:{digest}", file=sys.stderr)
+        print(f"sha256:{digest.hexdigest()}", file=sys.stderr)
     return 0
 
 

@@ -18,9 +18,15 @@ class Graph:
     ``bits`` holds the same rows as ``int`` bitsets (bit ``w`` of ``bits[u]``
     is set iff u ~ w). It is built on first use, so graphs that never reach
     the signature path never allocate its n²/8 bytes.
+
+    ``second`` is the pair ``(twice, once)`` of second-neighbour bitsets, also
+    built on first use: bit ``w`` of ``twice[s]`` is set iff w has at least
+    two neighbours in N(s), and of ``once[s]`` iff it has exactly one. Both
+    are lists only to keep per-graph tuple copies off CPython's tuple free
+    lists; nothing may write to them.
     """
 
-    __slots__ = ("n", "m", "adjacency", "_bits")
+    __slots__ = ("n", "m", "adjacency", "_bits", "_second")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()) -> None:
         if n < 0:
@@ -45,12 +51,29 @@ class Graph:
         self.m = len(seen)
         self.adjacency = adjacency
         self._bits: tuple[int, ...] | None = None
+        self._second: tuple[list[int], list[int]] | None = None
 
     @property
     def bits(self) -> tuple[int, ...]:
         if self._bits is None:
             self._bits = tuple(sum(1 << w for w in row) for row in self.adjacency)
         return self._bits
+
+    @property
+    def second(self) -> tuple[list[int], list[int]]:
+        if self._second is None:
+            rows = self.bits
+            twice: list[int] = []
+            once: list[int] = []
+            for row in self.adjacency:
+                two = one = 0
+                for u in row:
+                    two |= one & rows[u]
+                    one |= rows[u]
+                twice.append(two)
+                once.append(one & ~two)
+            self._second = (twice, once)
+        return self._second
 
     def degree(self, v: int) -> int:
         return len(self.adjacency[v])

@@ -61,9 +61,14 @@ class HopParentIndex:
         hop ascending: ``targets`` is the bitset of the vertices that exactly
         ``count`` starts reach at ``hop``, and target t's parents are
         ``rows[t] & layer``. A layer's targets are split down the counter's
-        bit slices, so the cost is per class, not per target."""
+        bit slices, so the cost is per class, not per target. A counter with
+        one slice never carried: every target it holds has count 1."""
         for k, (layer, targets, counter) in enumerate(
                 zip(self.layers, self.reached, self.counters)):
+            if len(counter) == 1:
+                if targets:
+                    yield k + 2, 1, targets, layer
+                continue
             parts = [(0, targets)]
             for i, digit in enumerate(counter):
                 split = []
@@ -125,7 +130,9 @@ def aggregate_hp(g: Graph, v: int) -> HopParentIndex:
     if not 0 <= v < g.n:
         raise ValueError(f"vertex {v} outside 0..{g.n - 1}")
     rows = g.bits
-    without_v = ~(1 << v)
+    twice, once = g.second
+    without_v = ~(1 << v)  # v is deleted: it joins no layer
+    off_v = ~rows[v]
 
     # per layer k, merged over the starts: the union of L_k, the union of
     # N(L_k), and per vertex the number of starts whose N(L_k) holds it
@@ -134,15 +141,9 @@ def aggregate_hp(g: Graph, v: int) -> HopParentIndex:
     counters: list[list[int]] = []
     for s in g.adjacency[v]:
         frontier = seen = 1 << s
+        near = rows[s] & without_v
         k = 0
         while frontier:
-            near = 0
-            rest = frontier
-            while rest:
-                low = rest & -rest
-                near |= rows[low.bit_length() - 1]
-                rest ^= low
-            near &= without_v  # v is deleted: it joins no layer
             if k == len(layers):
                 layers.append(frontier)
                 reached.append(near)
@@ -154,5 +155,17 @@ def aggregate_hp(g: Graph, v: int) -> HopParentIndex:
             frontier = near & ~seen
             seen |= frontier
             k += 1
+            if k == 1:
+                # L_1 = N(s) - v, and a vertex is next to it iff it has two
+                # neighbours in N(s), or one that is not v: no row union
+                near = (twice[s] | once[s] & off_v) & without_v
+            else:
+                near = 0
+                rest = frontier
+                while rest:
+                    low = rest & -rest
+                    near |= rows[low.bit_length() - 1]
+                    rest ^= low
+                near &= without_v
 
     return HopParentIndex(v, rows, layers, reached, counters)

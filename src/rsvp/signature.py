@@ -32,7 +32,7 @@ from math import comb, gcd, isqrt, lcm
 # tracer patches rsvp.signature.distance_matrix
 from .distances import DistanceMatrix, distance_matrix  # noqa: F401
 from .graphs import Graph, Permutation
-from .reachability import Group, HopParentIndex, aggregate_hp, members
+from .reachability import Group, HopParentIndex, aggregate_hp
 
 Signature = tuple[Fraction, ...]
 
@@ -126,15 +126,28 @@ def _signature(index: HopParentIndex, totals: dict[int, int], primes: list[int])
                 k = parents.bit_count()
                 total = totals.get(parents)
                 if total is None:
-                    edges = sum((rows[u] & parents).bit_count() for u in members(parents)) // 2
-                    total = totals[parents] = k * (k - 1) - edges
+                    edges = 0  # twice e(P): each edge inside P is seen from both ends
+                    rest = parents
+                    while rest:
+                        low = rest & -rest
+                        edges += (rows[low.bit_length() - 1] & parents).bit_count()
+                        rest ^= low
+                    total = totals[parents] = k * (k - 1) - edges // 2
                 num[t] *= total * factor
                 den[t] *= k * (k - 1) // 2
             else:
                 num[t] *= factor
     scale = lcm(*den)
     keys = sorted([a * (scale // b) for a, b in zip(num, den)])
-    return ",".join([f"{k // (g := gcd(k, scale))}/{scale // g}" for k in keys])
+    out = []
+    last = -1
+    for key in keys:
+        if key != last:  # equal keys are adjacent: format each one once
+            last = key
+            g = gcd(key, scale)
+            text = f"{key // g}/{scale // g}"
+        out.append(text)
+    return ",".join(out)
 
 
 def vertex_signature(g: Graph, v: int, dist: DistanceMatrix) -> Signature:

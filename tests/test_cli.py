@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import io
 import os
 import random
@@ -14,6 +15,7 @@ from rsvp.cli import main
 from rsvp.formats import parse_dimacs, parse_edge_list, to_dimacs
 from rsvp.generators import cycle, paley, path, random_gnm, rook, shrikhande, worked_example
 from rsvp.graphs import Graph
+from rsvp.signature import certificate
 
 
 @pytest.fixture
@@ -86,11 +88,14 @@ def test_certify_worked_example_contains_golden_element(graph_file, capsys):
 
 
 def test_certify_digest_goes_to_stderr(graph_file, capsys):
-    path = graph_file("c6.col", cycle(6))
-    assert main(["certify", path, "--digest"]) == 0
-    captured = capsys.readouterr()
-    assert captured.err.startswith("sha256:")
-    assert "sha256" not in captured.out
+    # the streamed output and digest are those of the whole serialized text
+    for name, graph in (("c6.col", cycle(6)), ("worked.col", worked_example())):
+        path = graph_file(name, graph)
+        assert main(["certify", path, "--digest"]) == 0
+        captured = capsys.readouterr()
+        text = certificate(graph).serialize()
+        assert captured.out == text
+        assert captured.err == f"sha256:{hashlib.sha256(text.encode('utf-8')).hexdigest()}\n"
 
 
 def test_certify_reads_stdin(monkeypatch, capsys):

@@ -101,16 +101,34 @@ def test_permute_preserves_degree_multiset():
     assert permute(g, p).degree_sequence() == g.degree_sequence()
 
 
-def test_bits_agree_with_adjacency():
+def storage_variants() -> list[Graph]:
+    """Shuffled rows, a relabeling, disjoint unions, isolated vertices, n <= 1."""
     rng = random.Random(23)
     g = paley(13)
-    for h in (
+    return [
         shuffled_copy(g, rng),
         permute(g, Permutation.random(g.n, rng)),
         disjoint_union(path(4), complete(3)),
+        disjoint_union(shuffled_copy(random_graph(rng, max_n=12), rng), Graph(2)),
         Graph(0),
+        Graph(1),
         Graph(3),
-    ):
+    ]
+
+
+def test_bits_agree_with_adjacency():
+    for h in storage_variants():
         assert len(h.bits) == h.n
         assert all(h.bits[u] >> w & 1 == h.has_edge(u, w)
                    for u in range(h.n) for w in range(h.n))
+
+
+def test_second_neighbour_bits_count_common_neighbours():
+    for h in storage_variants():
+        twice, once = h.second
+        assert len(twice) == len(once) == h.n
+        for s in range(h.n):
+            for w in range(h.n):
+                common = len(set(h.adjacency[w]) & set(h.adjacency[s]))
+                assert twice[s] >> w & 1 == (common >= 2)
+                assert once[s] >> w & 1 == (common == 1)

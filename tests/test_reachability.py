@@ -9,9 +9,9 @@ from conftest import random_graph, shuffled_copy, small_graphs
 from reference_reachability import aggregate_hp as reference_aggregate_hp
 from reference_reachability import deleted_neighborhood_bfs
 from rsvp.distances import bfs_distances
-from rsvp.generators import complete, disjoint_union, paley, rook, worked_example
+from rsvp.generators import complete, disjoint_union, paley, path, rook, worked_example
 from rsvp.graphs import Graph, Permutation, permute
-from rsvp.reachability import Group, aggregate_hp
+from rsvp.reachability import Group, aggregate_hp, members
 
 # worked_example labels: vertex ids 0..5 stand for v1..v6
 # the entry-level emission rule is pinned on the per-edge reference, which
@@ -159,3 +159,54 @@ def test_counters_with_many_bit_slices_match_the_reference(g):
     # than the 16-vertex property graphs reach
     for v in range(g.n):
         assert aggregate_hp(g, v).groups == reference_aggregate_hp(g, v).groups
+
+
+def broom(handle: int, bristles: int) -> Graph:
+    """A path 0..handle with ``bristles`` leaves hung on its last vertex."""
+    edges = [(i, i + 1) for i in range(handle)]
+    edges += [(handle, handle + 1 + j) for j in range(bristles)]
+    return Graph(handle + 1 + bristles, edges)
+
+
+def bridged_cliques(k: int) -> Graph:
+    """Two k-cliques joined by one edge between vertex 0 of each."""
+    g = disjoint_union(complete(k), complete(k))
+    return Graph(2 * k, g.edges() + [(0, k)])
+
+
+def test_stranded_vertices_match_the_reference():
+    # a vertex whose only neighbour in N(s) is the deleted v itself is not
+    # next to the first layer N(s) - v, so it must not be reached from it; on
+    # a tree every other neighbour of v is stranded this way
+    rng = random.Random(29)
+    graphs = [random_tree(rng.randint(2, 14), rng) for _ in range(12)]
+    graphs += [broom(4, 5), bridged_cliques(4), bridged_cliques(5)]
+    for g in graphs:
+        for v in range(g.n):
+            assert aggregate_hp(g, v).groups == reference_aggregate_hp(g, v).groups
+
+
+@pytest.mark.parametrize(("g", "most_slices"),
+                         [(path(8), 1), (rook(6), 4), (Graph(4, [(0, 1), (0, 2), (0, 3)]), 1)],
+                         ids=["path8", "rook6", "star"])
+def test_classes_are_nonempty_and_match_the_counters(g, most_slices):
+    # one slice takes the shortcut in classes(), more take the split; the
+    # star centre's leaves reach nothing, which leaves a [0] counter
+    slices = set()
+    for v in range(g.n):
+        hp = aggregate_hp(g, v)
+        seen = [0] * len(hp.layers)
+        for hop, count, targets, layer in hp.classes():
+            assert targets
+            k = hop - 2
+            assert layer == hp.layers[k]
+            assert not targets & seen[k]
+            seen[k] |= targets
+            for t in members(targets):
+                assert sum((digit >> t & 1) << i
+                           for i, digit in enumerate(hp.counters[k])) == count
+        assert seen == hp.reached
+        slices.update(len(counter) for counter in hp.counters)
+        if g.degree(v) == g.n - 1 == g.m:
+            assert hp.counters == [[0]]
+    assert max(slices) == most_slices
