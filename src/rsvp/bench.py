@@ -67,7 +67,8 @@ def resolve_graph_ref(ref: str) -> Graph:
 
 
 def load_manifest(path: str | Path) -> list[ManifestRow]:
-    with open(path, encoding="utf-8", newline="") as handle:
+    # utf-8-sig drops the byte order mark that some spreadsheet exports write
+    with open(path, encoding="utf-8-sig", newline="") as handle:
         reader = csv.DictReader(handle)
         fields = reader.fieldnames or []
         for column in ("name", "graph_a", "graph_b", "expected"):
@@ -184,7 +185,9 @@ def _cell(report: ReportRow, column: str) -> str:
     if value is None:
         return ""
     if column.endswith("_ms"):
-        return f"{value:.1f}" if getattr(report, column[:-3]) else ""
+        # blank when the method never ran: an errored row or a skipped oracle
+        ran = getattr(report, column[:-3]) not in ("", "skipped")
+        return f"{value:.1f}" if ran else ""
     return str(value)
 
 

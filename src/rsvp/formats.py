@@ -179,19 +179,20 @@ def sniff_format(text: str) -> str:
     raise ParseError("empty input")
 
 
-def parse_graph(text: str, fmt: str | None = None) -> Graph:
-    """Parse ``text`` as ``fmt`` (``dimacs``/``edgelist``), sniffing if None."""
-    if fmt is None:
-        fmt = sniff_format(text)
-    if fmt == "dimacs":
+def parse_graph(text: str) -> Graph:
+    """Parse ``text`` in the format :func:`sniff_format` names.
+
+    One leading byte order mark (U+FEFF, as some Windows editors write) is
+    dropped first.
+    """
+    text = text.removeprefix("\ufeff")
+    if sniff_format(text) == "dimacs":
         return parse_dimacs(text)
-    if fmt == "edgelist":
-        return parse_edge_list(text)
-    raise ValueError(f"unknown format {fmt!r}")
+    return parse_edge_list(text)
 
 
-def load_graph(source: str | Path, fmt: str | None = None) -> Graph:
+def load_graph(source: str | Path) -> Graph:
     """Read a graph from a file path, or from standard input when ``-``."""
     if str(source) == "-":
-        return parse_graph(sys.stdin.read(), fmt)
-    return parse_graph(Path(source).read_text(encoding="utf-8"), fmt)
+        return parse_graph(sys.stdin.read())
+    return parse_graph(Path(source).read_text(encoding="utf-8"))

@@ -46,9 +46,9 @@ def _bfs_order(g: Graph) -> list[int]:
 def find_isomorphism(g1: Graph, g2: Graph) -> Permutation | None:
     """Exact: a verified isomorphism if one exists, else None.
 
-    Backtracking over vertex assignments with degree and adjacency
-    consistency pruning, seeded by joint color refinement classes; candidate
-    order is ascending ids, so failures reproduce exactly.
+    Backtracking over vertex assignments with adjacency consistency pruning,
+    seeded by joint color refinement classes; candidate order is ascending
+    ids, so failures reproduce exactly.
     """
     if g1.n != g2.n or g1.m != g2.m:
         return None
@@ -68,30 +68,26 @@ def find_isomorphism(g1: Graph, g2: Graph) -> Permutation | None:
 
     order = _bfs_order(g1)
     adj1 = g1.adjacency
-    adj2 = g2.adjacency
-    adjset2 = [set(row) for row in adj2]
+    rows2 = g2.bits
     mapping = [-1] * n
-    used = [False] * n
+    used = 0  # bitset of the images mapped so far
 
     def extend(u: int) -> Iterator[int]:
         # maps u to each of its candidates, ascending, that agrees with the
         # mapping so far; resuming undoes the previous choice
-        mapped_images = [mapping[w] for w in adj1[u] if mapping[w] >= 0]
-        want = len(mapped_images)
-        deg_u = len(adj1[u])
+        nonlocal used
+        images = sum(1 << mapping[w] for w in adj1[u] if mapping[w] >= 0)
         for v in candidates[c1[u]]:
-            if used[v] or len(adj2[v]) != deg_u:
-                continue
-            if not adjset2[v].issuperset(mapped_images):
-                continue
-            # every mapped neighbor of v must be the image of a neighbor of u
-            if sum(used[x] for x in adj2[v]) != want:
+            bit = 1 << v
+            # v is free and its mapped neighbors are exactly the images of
+            # u's; its refinement class already gives it u's degree
+            if used & bit or rows2[v] & used != images:
                 continue
             mapping[u] = v
-            used[v] = True
+            used |= bit
             yield v
             mapping[u] = -1
-            used[v] = False
+            used ^= bit
 
     # depth-first with an explicit stack, one candidate stream per mapped
     # prefix of ``order``, so path-like graphs of any length fit

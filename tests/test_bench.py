@@ -66,6 +66,15 @@ def test_load_manifest(tmp_path):
     ]
 
 
+def test_load_manifest_skips_a_byte_order_mark(tmp_path):
+    manifest = tmp_path / "bom.csv"
+    manifest.write_text(
+        "\ufeffname,graph_a,graph_b,expected\na,gen:cycle:6,gen:cycle:6,iso\n",
+        encoding="utf-8",
+    )
+    assert load_manifest(manifest) == [ManifestRow("a", "gen:cycle:6", "gen:cycle:6", "iso")]
+
+
 def test_load_manifest_rejects_missing_column(tmp_path):
     manifest = tmp_path / "cases.csv"
     manifest.write_text("name,graph_a,graph_b\na,x,y\n", encoding="utf-8")
@@ -119,10 +128,18 @@ def test_row_error_is_isolated(tmp_path):
 
 
 def test_oracle_column_is_size_gated():
-    report = run_row(ManifestRow("p17", "gen:paley:17", "gen:paley:17", "iso"))
-    assert report.oracle == "skipped"
-    report = run_row(ManifestRow("c6", "gen:cycle:6", "gen:cycle:6", "iso"))
-    assert report.oracle == "isomorphic"
+    skipped = run_row(ManifestRow("c20", "gen:cycle:20", "gen:permuted:3:cycle:20", "iso"))
+    assert skipped.oracle == "skipped"
+    ran = run_row(ManifestRow("c6", "gen:cycle:6", "gen:cycle:6", "iso"))
+    assert ran.oracle == "isomorphic"
+    # a skipped oracle has no time, so its cell is blank in both outputs
+    records = list(csv.DictReader(io.StringIO(format_csv([skipped, ran]))))
+    assert [r["oracle_ms"] for r in records] == ["", f"{ran.oracle_ms:.1f}"]
+    assert records[0]["rsvp_ms"] != ""
+    header, first, second = format_table([skipped, ran]).splitlines()
+    column = slice(header.index("oracle_ms"), header.index("wl_ok"))
+    assert first[column].strip() == ""
+    assert second[column].strip() == f"{ran.oracle_ms:.1f}"
 
 
 def test_timings_non_negative():

@@ -12,10 +12,11 @@ from pathlib import Path
 import pytest
 
 from rsvp.cli import main
-from rsvp.formats import parse_dimacs, parse_edge_list, to_dimacs
-from rsvp.generators import cycle, paley, path, random_gnm, rook, shrikhande, worked_example
+from rsvp.formats import parse_dimacs, parse_edge_list, to_dimacs, to_edge_list
+from rsvp.generators import (cycle, graph_from_spec, paley, path, random_gnm, rook, shrikhande,
+                              worked_example)
 from rsvp.graphs import Graph
-from rsvp.signature import certificate
+from rsvp.signature import certificate, rsvp_compare, verify_mapping
 
 
 @pytest.fixture
@@ -104,6 +105,17 @@ def test_certify_reads_stdin(monkeypatch, capsys):
     assert capsys.readouterr().out == "0/1,0/1\n0/1,0/1\n"
 
 
+def test_certify_ignores_a_byte_order_mark(tmp_path, capsys):
+    outputs = []
+    for serializer in (to_dimacs, to_edge_list):
+        for prefix in ("", "\ufeff"):
+            target = tmp_path / "g.txt"
+            target.write_text(prefix + serializer(worked_example()), encoding="utf-8")
+            assert main(["certify", str(target)]) == 0
+            outputs.append(capsys.readouterr().out)
+    assert outputs[0] and all(out == outputs[0] for out in outputs)
+
+
 def test_certify_missing_file(capsys):
     assert main(["certify", "/nonexistent/g.col"]) == 2
     assert "error:" in capsys.readouterr().err
@@ -157,14 +169,34 @@ def test_compare_srg_pair_oracle(graph_file, capsys):
     assert main(["compare", a, b, "--method", "oracle"]) == 1
 
 
-def test_compare_equal_certificates_with_verify(graph_file, capsys):
+def test_compare_equal_certificates_checks_the_mapping(graph_file, capsys):
     g = random_gnm(10, 22, seed=1)
     a = graph_file("a.col", g)
     b = graph_file("b.col", g)
-    assert main(["compare", a, b, "--verify"]) == 0
-    out = capsys.readouterr().out
-    assert "certificates equal" in out
-    assert "candidate mapping" in out
+    assert main(["compare", a, b]) == 0
+    assert capsys.readouterr().out == "certificates equal; candidate mapping verified\n"
+
+
+def test_compare_reports_whether_the_relabeled_mapping_verified(graph_file, capsys):
+    g, h = paley(13), graph_from_spec("permuted:42:paley:13")
+    a = graph_file("a.col", g)
+    b = graph_file("b.col", h, to_edge_list)
+    verified = verify_mapping(g, h, rsvp_compare(g, h).mapping)
+    assert main(["compare", a, b]) == 0
+    word = "verified" if verified else "unverified"
+    assert capsys.readouterr().out == f"certificates equal; candidate mapping {word}\n"
+
+
+@pytest.mark.parametrize("args", [
+    ["compare", "a.col", "b.col", "--verify"],
+    ["compare", "a.col", "b.col", "--format", "dimacs"],
+    ["certify", "a.col", "--format", "edgelist"],
+])
+def test_removed_flags_are_usage_errors(args, capsys):
+    with pytest.raises(SystemExit) as exited:
+        main(args)
+    assert exited.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_compare_missing_file(graph_file, capsys):
@@ -178,7 +210,7 @@ def test_compare_oracle_size_gate_and_force(graph_file, capsys):
     assert main(["compare", a, b, "--method", "oracle"]) == 2
     assert "--force" in capsys.readouterr().err
     assert main(["compare", a, b, "--method", "oracle", "--force"]) == 0
-    assert "isomorphic" in capsys.readouterr().out
+    assert capsys.readouterr().out == "isomorphic\n"
 
 
 def test_bench_builtin_table(capsys):

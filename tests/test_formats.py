@@ -16,7 +16,8 @@ from rsvp.formats import (
     to_dimacs,
     to_edge_list,
 )
-from rsvp.generators import complete, shrikhande
+from rsvp.generators import complete, graph_from_spec, shrikhande
+from rsvp.graphs import Graph
 
 
 def test_parse_dimacs_k2():
@@ -130,10 +131,32 @@ def test_sniff_format():
         sniff_format("  \n ")
 
 
-def test_parse_graph_explicit_and_unknown_format():
-    assert parse_graph("2\n0 1", "edgelist").m == 1
-    with pytest.raises(ValueError):
-        parse_graph("2\n0 1", "pajek")
+@pytest.mark.parametrize(
+    "graph",
+    [pytest.param(graph_from_spec(spec), id=spec) for spec in (
+        "cycle:7", "complete:5", "path:2", "disjoint_union:cycle:4:complete:3", "rook:3",
+        "paley:13", "random_gnm:12:20:3", "random_regular:10:3:1", "worked_example")]
+    + [pytest.param(Graph(0), id="empty"), pytest.param(Graph(1), id="one-vertex"),
+       pytest.param(Graph(5, [(1, 3)]), id="isolated-vertices")],
+)
+def test_parse_graph_sniffs_either_writer(graph):
+    # sniffing alone picks the right reader, past comments and blank lines
+    for text, comment in ((to_dimacs(graph), "c written by a tool\n"),
+                          (to_edge_list(graph), "# written by a tool\n")):
+        assert parse_graph(text) == graph
+        assert parse_graph("\n" + comment + "\n  \n" + text) == graph
+
+
+@pytest.mark.parametrize("serializer", [to_dimacs, to_edge_list])
+def test_a_leading_byte_order_mark_is_dropped(serializer, tmp_path, monkeypatch):
+    graph = graph_from_spec("paley:13")
+    plain, bom = tmp_path / "plain.txt", tmp_path / "bom.txt"
+    plain.write_text(serializer(graph), encoding="utf-8")
+    bom.write_text("\ufeff" + serializer(graph), encoding="utf-8")
+    assert load_graph(bom) == load_graph(plain) == graph
+
+    monkeypatch.setattr("sys.stdin", io.StringIO("\ufeff" + serializer(graph)))
+    assert load_graph("-") == graph
 
 
 def test_load_graph_from_file_and_stdin(tmp_path, monkeypatch):
