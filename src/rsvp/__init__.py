@@ -24,7 +24,6 @@ from .generators import (
     complete,
     cycle,
     disjoint_union,
-    generate,
     paley,
     path,
     random_gnm,
@@ -34,7 +33,7 @@ from .generators import (
     worked_example,
 )
 from .graphs import Graph, Permutation, permute
-from .oracle import exhaustive_corpus, find_isomorphism
+from .oracle import find_isomorphism
 from .reachability import Group, HopParentIndex, aggregate_hp
 from .refinement import Coloring, WLVerdict, color_refinement, wl_compare
 from .signature import (
@@ -76,9 +75,7 @@ __all__ = [
     "cycle",
     "disjoint_union",
     "distance_matrix",
-    "exhaustive_corpus",
     "find_isomorphism",
-    "generate",
     "hop_prime",
     "load_graph",
     "paley",

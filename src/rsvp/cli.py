@@ -10,7 +10,10 @@ Commands::
 Exit codes: 0 success (for compare: certificates equal / possibly or exactly
 isomorphic), 1 non-isomorphic, 2 error. Graph files may be ``-`` for stdin;
 their format is sniffed. Equal certificates prove nothing, so ``compare``
-always says whether its candidate mapping verified.
+always says whether its candidate mapping verified. The candidate pairs
+vertices of equal signature in id order, so ``unverified`` is expected
+whenever a signature class holds more than one vertex, as in vertex-transitive
+graphs; only ``--method oracle`` proves isomorphism.
 """
 
 from __future__ import annotations

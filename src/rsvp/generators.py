@@ -202,19 +202,6 @@ _FAMILIES = {
 }
 
 
-def _family(name: str):
-    try:
-        return _FAMILIES[name]
-    except KeyError:
-        known = ", ".join(sorted(_FAMILIES))
-        raise ValueError(f"unknown family {name!r}; known: {known}") from None
-
-
-def generate(family: str, *params) -> Graph:
-    """Dispatch to a generator by family name."""
-    return _family(family)[0](*params)
-
-
 def _spec_ints(family: str, tokens: list[str], count: int) -> tuple[list[int], list[str]]:
     if len(tokens) < count:
         raise ValueError(f"generator {family!r}: missing parameter")
@@ -234,7 +221,11 @@ def _parse_spec(tokens: list[str]) -> tuple[Graph, list[str]]:
         (seed,), rest = _spec_ints(family, rest, 1)
         sub, rest = _parse_spec(rest)
         return permute(sub, Permutation.random(sub.n, random.Random(seed))), rest
-    fn, arity = _family(family)
+    try:
+        fn, arity = _FAMILIES[family]
+    except KeyError:
+        known = ", ".join(sorted(_FAMILIES))
+        raise ValueError(f"unknown family {family!r}; known: {known}") from None
     if fn is disjoint_union:
         a, rest = _parse_spec(rest)
         b, rest = _parse_spec(rest)

@@ -16,8 +16,9 @@ class Graph:
     row order (the certificate pipeline is tested against shuffled rows).
 
     ``bits`` holds the same rows as ``int`` bitsets (bit ``w`` of ``bits[u]``
-    is set iff u ~ w). It is built on first use, so graphs that never reach
-    the signature path never allocate its n²/8 bytes.
+    is set iff u ~ w). It is built on first use; the signature path, the
+    oracle and ``verify_mapping`` read it, so only graphs that WL or the
+    readers alone touch never allocate its n²/8 bytes.
 
     ``second`` is the pair ``(twice, once)`` of second-neighbour bitsets, also
     built on first use: bit ``w`` of ``twice[s]`` is set iff w has at least

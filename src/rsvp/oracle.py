@@ -1,4 +1,4 @@
-"""Exact isomorphism search for small graphs, and small-graph corpora.
+"""Exact isomorphism search for small graphs.
 
 The search is meant as ground truth at test scale (n up to ~16 in general),
 not as a competitor to industrial solvers; the worst case is exponential.
@@ -6,18 +6,13 @@ not as a competitor to industrial solvers; the worst case is exponential.
 
 from __future__ import annotations
 
-import random
 from collections import Counter, deque
 from collections.abc import Iterator
-from functools import lru_cache
-from math import comb
 
-from .generators import disjoint_union, random_gnm
+from .generators import disjoint_union
 from .graphs import Graph, Permutation
 from .refinement import color_refinement
 from .signature import verify_mapping
-
-_SAMPLED_CORPUS_SIZE = 32
 
 # exact search is refused above this vertex count unless forced
 ORACLE_SIZE_LIMIT = 16
@@ -105,46 +100,3 @@ def find_isomorphism(g1: Graph, g2: Graph) -> Permutation | None:
     if not verify_mapping(g1, g2, result):
         raise RuntimeError("oracle search produced a mapping that is not an isomorphism")
     return result
-
-
-def _invariant_key(g: Graph):
-    return (g.m, g.degree_sequence(), color_refinement(g).class_sizes())
-
-
-@lru_cache(maxsize=None)
-def _classes_exact(n: int) -> tuple[Graph, ...]:
-    # one representative per isomorphism class on exactly n vertices, built
-    # by attaching vertex n-1 to representatives on n-1 vertices in every way
-    if n == 1:
-        return (Graph(1),)
-    produced: list[Graph] = []
-    buckets: dict[object, list[Graph]] = {}
-    for base in _classes_exact(n - 1):
-        base_edges = base.edges()
-        for mask in range(1 << (n - 1)):
-            extra = [(i, n - 1) for i in range(n - 1) if mask >> i & 1]
-            candidate = Graph(n, base_edges + extra)
-            bucket = buckets.setdefault(_invariant_key(candidate), [])
-            if all(find_isomorphism(candidate, g) is None for g in bucket):
-                bucket.append(candidate)
-                produced.append(candidate)
-    return tuple(produced)
-
-
-def exhaustive_corpus(max_n: int, seed: int = 0) -> list[Graph]:
-    """Deterministic corpus of graphs on exactly ``max_n`` vertices.
-
-    Up to 7 vertices this is one representative per isomorphism class
-    (duplicate-free by construction). Above that, enumeration is off the
-    table and a seeded sample of random graphs is returned instead.
-    """
-    if max_n < 1:
-        raise ValueError("max_n must be >= 1")
-    if max_n <= 7:
-        return list(_classes_exact(max_n))
-    rng = random.Random(seed)
-    limit = comb(max_n, 2)
-    return [
-        random_gnm(max_n, rng.randint(0, limit), rng.randrange(1 << 30))
-        for _ in range(_SAMPLED_CORPUS_SIZE)
-    ]

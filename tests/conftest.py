@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+from functools import cache
 
 from hypothesis import strategies as st
 
@@ -25,6 +26,20 @@ def shuffled_copy(g: Graph, rng: random.Random) -> Graph:
     for row in h.adjacency:
         rng.shuffle(row)
     return h
+
+
+@cache
+def _atlas_graphs() -> tuple:
+    import networkx as nx
+
+    return tuple(nx.graph_atlas_g())
+
+
+def atlas(n: int) -> list[Graph]:
+    """One graph per isomorphism class on exactly ``n`` vertices (n <= 7), from
+    the graph atlas of Read and Wilson (An Atlas of Graphs, 1998) that networkx
+    ships; independent of every search in the package."""
+    return [Graph(n, g.edges()) for g in _atlas_graphs() if g.number_of_nodes() == n]
 
 
 def random_graph(rng: random.Random, max_n: int = 10) -> Graph:

@@ -11,7 +11,7 @@ from rsvp.generators import (
     complete,
     cycle,
     disjoint_union,
-    generate,
+    graph_from_spec,
     paley,
     path,
     random_gnm,
@@ -174,14 +174,14 @@ def test_worked_example_shape():
 
 
 def test_generate_dispatch():
-    assert generate("cycle", 6) == cycle(6)
-    assert generate("shrikhande") == shrikhande()
-    with pytest.raises(ValueError, match="unknown family"):
-        generate("hypercube", 3)
+    assert graph_from_spec("cycle:6") == cycle(6)
+    assert graph_from_spec("shrikhande") == shrikhande()
+    with pytest.raises(ValueError, match="unknown family 'hypercube'; known: complete, "):
+        graph_from_spec("hypercube:3")
 
 
 def test_generators_pure():
-    assert generate("random_gnm", 10, 12, 3) == generate("random_gnm", 10, 12, 3)
+    assert graph_from_spec("random_gnm:10:12:3") == graph_from_spec("random_gnm:10:12:3")
     assert shrikhande().adjacency == shrikhande().adjacency
 
 
