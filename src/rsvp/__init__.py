@@ -9,7 +9,6 @@ small-graph oracle, generators, file formats, and a benchmark harness round
 out the package.
 """
 
-from .distances import DistanceMatrix, bfs_distances, distance_matrix
 from .formats import (
     GraphFormatWarning,
     ParseError,
@@ -41,11 +40,8 @@ from .signature import (
     CertificatesEqual,
     NonIsomorphic,
     Verdict,
-    avpd,
     certificate,
-    hop_prime,
     rsvp_compare,
-    signature_element,
     verify_mapping,
     vertex_signature,
 )
@@ -56,7 +52,6 @@ __all__ = [
     "Certificate",
     "CertificatesEqual",
     "Coloring",
-    "DistanceMatrix",
     "Graph",
     "GraphFormatWarning",
     "Group",
@@ -67,16 +62,12 @@ __all__ = [
     "Verdict",
     "WLVerdict",
     "aggregate_hp",
-    "avpd",
-    "bfs_distances",
     "certificate",
     "color_refinement",
     "complete",
     "cycle",
     "disjoint_union",
-    "distance_matrix",
     "find_isomorphism",
-    "hop_prime",
     "load_graph",
     "paley",
     "parse_dimacs",
@@ -89,7 +80,6 @@ __all__ = [
     "rook",
     "rsvp_compare",
     "shrikhande",
-    "signature_element",
     "to_dimacs",
     "to_edge_list",
     "verify_mapping",

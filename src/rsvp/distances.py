@@ -11,23 +11,8 @@ pair counts as distance 0 belongs to ``avpd``.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 
 from .graphs import Graph
-
-
-@dataclass(frozen=True)
-class DistanceMatrix:
-    """Symmetric n x n table of hop counts (``None`` = unreachable)."""
-
-    rows: tuple[tuple[int | None, ...], ...]
-
-    @property
-    def n(self) -> int:
-        return len(self.rows)
-
-    def __getitem__(self, v: int) -> tuple[int | None, ...]:
-        return self.rows[v]
 
 
 def bfs_distances(g: Graph, s: int) -> list[int | None]:
@@ -48,6 +33,7 @@ def bfs_distances(g: Graph, s: int) -> list[int | None]:
     return dist
 
 
-def distance_matrix(g: Graph) -> DistanceMatrix:
-    """Hop distances between all vertex pairs; row v is ``bfs_distances(g, v)``."""
-    return DistanceMatrix(tuple(tuple(bfs_distances(g, v)) for v in range(g.n)))
+def distance_matrix(g: Graph) -> tuple[tuple[int | None, ...], ...]:
+    """Hop distances between all vertex pairs, as the symmetric n x n rows;
+    row v is ``bfs_distances(g, v)``."""
+    return tuple(tuple(bfs_distances(g, v)) for v in range(g.n))

@@ -76,13 +76,6 @@ class Graph:
             self._second = (twice, once)
         return self._second
 
-    def degree(self, v: int) -> int:
-        return len(self.adjacency[v])
-
-    def has_edge(self, u: int, w: int) -> bool:
-        # linear scan on purpose: stays correct if a row was reordered
-        return w in self.adjacency[u]
-
     def edges(self) -> list[tuple[int, int]]:
         """All edges as (u, w) pairs with u < w, sorted."""
         return sorted(
@@ -121,16 +114,6 @@ class Permutation:
 
     def __iter__(self):
         return iter(self.mapping)
-
-    def inverse(self) -> Permutation:
-        inv = [0] * len(self.mapping)
-        for i, j in enumerate(self.mapping):
-            inv[j] = i
-        return Permutation(tuple(inv))
-
-    @classmethod
-    def identity(cls, n: int) -> Permutation:
-        return cls(tuple(range(n)))
 
     @classmethod
     def random(cls, n: int, rng: random.Random) -> Permutation:

@@ -44,8 +44,8 @@ class HopParentIndex:
     ``classes`` walks the layers one count class at a time, and ``groups``
     is decoded from that walk on first use: ``groups[t]`` is ordered by
     strictly increasing hop, and targets that no traversal reached, and the
-    source itself, get an empty tuple. Two indexes are equal when their
-    sources and groups are.
+    source itself, get an empty tuple. Equality is identity; compare
+    ``groups`` to compare two indexes.
     """
 
     source: int
@@ -89,11 +89,6 @@ class HopParentIndex:
             for t in members(targets):
                 per_target[t].append(Group(hop, count, members(rows[t] & layer)))
         return tuple(map(tuple, per_target))
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, HopParentIndex):
-            return NotImplemented
-        return self.source == other.source and self.groups == other.groups
 
 
 def _add_to_counter(counter: list[int], bits: int) -> None:

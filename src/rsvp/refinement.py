@@ -17,9 +17,6 @@ class Coloring:
     colors: tuple[int, ...]
     rounds: int
 
-    def class_sizes(self) -> tuple[int, ...]:
-        return tuple(sorted(Counter(self.colors).values()))
-
 
 def _refine_once(g: Graph, colors: list[int]) -> list[int]:
     # new color = rank of (own color, sorted neighbor colors) among all keys;

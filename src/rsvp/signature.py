@@ -22,7 +22,7 @@ candidate mapping rather than an isomorphism claim.
 from __future__ import annotations
 
 from collections import deque
-from collections.abc import Iterator
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -30,11 +30,9 @@ from math import comb, gcd, isqrt, lcm
 
 # distance_matrix is unused here; it stays bound because perfbench's
 # tracer patches rsvp.signature.distance_matrix
-from .distances import DistanceMatrix, distance_matrix  # noqa: F401
+from .distances import distance_matrix  # noqa: F401
 from .graphs import Graph, Permutation
 from .reachability import Group, HopParentIndex, aggregate_hp
-
-Signature = tuple[Fraction, ...]
 
 
 def odd_primes(count: int) -> list[int]:
@@ -52,14 +50,7 @@ def odd_primes(count: int) -> list[int]:
         limit *= 2
 
 
-def hop_prime(h: int) -> int:
-    """The h-th odd prime: 1 -> 3, 2 -> 5, 3 -> 7, 4 -> 11, ..."""
-    if h < 1:
-        raise ValueError("hop values start at 1")
-    return odd_primes(h)[-1]
-
-
-def avpd(parents, dist: DistanceMatrix) -> Fraction:
+def avpd(parents, dist: Sequence[Sequence[int | None]]) -> Fraction:
     """Average pairwise distance inside a parent list.
 
     Distances come from the original graph's matrix, not the vertex-deleted
@@ -80,8 +71,9 @@ def avpd(parents, dist: DistanceMatrix) -> Fraction:
     return Fraction(total, comb(k, 2))
 
 
-def signature_element(groups: tuple[Group, ...], dist: DistanceMatrix) -> Fraction:
-    """Product over groups of avpd(parents) * prime(hop)**count.
+def signature_element(groups: tuple[Group, ...], dist: Sequence[Sequence[int | None]]) -> Fraction:
+    """Product over groups of avpd(parents) * prime(hop)**count, with
+    prime(h) the h-th odd prime and ``groups`` in increasing hop order.
 
     An empty group list (unreachable target, or the vertex itself) maps to 0.
     This is the definition; certificates compute the same value in integers
@@ -89,9 +81,10 @@ def signature_element(groups: tuple[Group, ...], dist: DistanceMatrix) -> Fracti
     """
     if not groups:
         return Fraction(0)
+    primes = odd_primes(groups[-1].hop)
     acc = Fraction(1)
     for group in groups:
-        acc *= avpd(group.parents, dist) * hop_prime(group.hop) ** group.count
+        acc *= avpd(group.parents, dist) * primes[group.hop - 1] ** group.count
     return acc
 
 
@@ -150,14 +143,14 @@ def _signature(index: HopParentIndex, totals: dict[int, int], primes: list[int])
     return ",".join(out)
 
 
-def vertex_signature(g: Graph, v: int, dist: DistanceMatrix) -> Signature:
-    """Sorted sequence of the n signature elements of ``v``.
+def vertex_signature(g: Graph, v: int, dist: Sequence[Sequence[int | None]]) -> str:
+    """The n signature elements of ``v``, ascending, as their text line.
 
     ``dist`` is no longer read; it is kept for callers that pass the
     distance matrix of ``g``. The element for ``v`` is always 0, so every
-    signature has length exactly n and contains 0.
+    signature has exactly n elements and contains ``0/1``.
     """
-    return tuple(map(Fraction, _signature(aggregate_hp(g, v), {}, odd_primes(g.n)).split(",")))
+    return _signature(aggregate_hp(g, v), {}, odd_primes(g.n))
 
 
 def _signatures(g: Graph) -> Iterator[str]:
@@ -174,10 +167,6 @@ class Certificate:
     """All n vertex signatures as their canonical text lines, sorted."""
 
     lines: tuple[str, ...]
-
-    @property
-    def signatures(self) -> tuple[Signature, ...]:
-        return tuple(sorted(tuple(map(Fraction, line.split(","))) for line in self.lines))
 
     def serialize(self) -> str:
         """Bit-exact text form: one signature per line, elements ascending as

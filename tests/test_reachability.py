@@ -77,7 +77,7 @@ def test_order_invariance():
         g = random_graph(rng, max_n=10)
         h = shuffled_copy(g, rng)
         for v in range(g.n):
-            assert aggregate_hp(g, v) == aggregate_hp(h, v)
+            assert aggregate_hp(g, v).groups == aggregate_hp(h, v).groups
 
 
 def test_equivariance_under_relabeling():
@@ -108,9 +108,9 @@ def test_group_bounds_and_ordering():
                 hops = [grp.hop for grp in groups]
                 assert hops == sorted(set(hops))
                 for grp in groups:
-                    assert 1 <= grp.count <= g.degree(v)
+                    assert 1 <= grp.count <= len(g.adjacency[v])
                     assert grp.parents
-                    assert len(grp.parents) <= g.degree(t)
+                    assert len(grp.parents) <= len(g.adjacency[t])
                     assert set(grp.parents) <= set(g.adjacency[t]) - {v}
 
 
@@ -207,6 +207,6 @@ def test_classes_are_nonempty_and_match_the_counters(g, most_slices):
                            for i, digit in enumerate(hp.counters[k])) == count
         assert seen == hp.reached
         slices.update(len(counter) for counter in hp.counters)
-        if g.degree(v) == g.n - 1 == g.m:
+        if len(g.adjacency[v]) == g.n - 1 == g.m:
             assert hp.counters == [[0]]
     assert max(slices) == most_slices

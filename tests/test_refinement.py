@@ -18,13 +18,17 @@ def test_regular_graph_stays_one_class():
 def test_path_splits_endpoints_from_middle():
     coloring = color_refinement(path(3))
     assert coloring.colors[0] == coloring.colors[2] != coloring.colors[1]
-    assert coloring.class_sizes() == (1, 2)
+    assert sorted(Counter(coloring.colors).values()) == [1, 2]
+
+
+def class_sizes(g) -> list[int]:
+    return sorted(Counter(color_refinement(g).colors).values())
 
 
 def test_refinement_failure_pair_has_identical_histograms():
-    left = color_refinement(cycle(6)).class_sizes()
-    right = color_refinement(disjoint_union(complete(3), complete(3))).class_sizes()
-    assert left == right == (6,)
+    left = class_sizes(cycle(6))
+    right = class_sizes(disjoint_union(complete(3), complete(3)))
+    assert left == right == [6]
 
 
 def test_class_count_monotone_and_stable_within_n_rounds():
@@ -46,9 +50,7 @@ def test_histogram_permutation_invariance():
     for _ in range(20):
         g = random_graph(rng, max_n=12)
         p = Permutation.random(g.n, rng)
-        assert color_refinement(g).class_sizes() == color_refinement(
-            permute(g, p)
-        ).class_sizes()
+        assert class_sizes(g) == class_sizes(permute(g, p))
 
 
 def test_wl_compare_detects_degree_difference():
