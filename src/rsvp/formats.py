@@ -28,9 +28,10 @@ from pathlib import Path
 
 from .graphs import Graph
 
-# largest declared vertex count a reader accepts; certifying even a few
-# thousand vertices takes hours, and the adjacency rows are allocated up front
-MAX_VERTICES = 65_536
+# largest vertex count a reader or a generator spec accepts: a certificate
+# holds n² elements, so even an edgeless graph at the limit certifies to
+# 64 MiB of text, and the adjacency rows are allocated up front
+MAX_VERTICES = 4_096
 
 
 class ParseError(ValueError):

@@ -4,9 +4,12 @@ from __future__ import annotations
 
 import random
 from collections import Counter
+from collections.abc import Callable
+from functools import partial
 from itertools import combinations
 from math import comb, isqrt
 
+from .formats import MAX_VERTICES
 from .graphs import Graph, Permutation, permute
 
 _REGULAR_PAIRING_ATTEMPTS = 1000
@@ -186,19 +189,20 @@ def worked_example() -> Graph:
     return Graph(6, [(0, 1), (0, 5), (1, 2), (2, 3), (2, 5), (3, 4), (4, 5)])
 
 
-# family -> (generator, number of integer parameters in a spec);
-# disjoint_union takes two graphs, given in a spec as two nested specs
+# family -> (generator, number of integer parameters in a spec, vertex count
+# of those parameters); disjoint_union takes two graphs, given in a spec as
+# two nested specs
 _FAMILIES = {
-    "cycle": (cycle, 1),
-    "complete": (complete, 1),
-    "path": (path, 1),
-    "disjoint_union": (disjoint_union, 0),
-    "rook": (rook, 1),
-    "shrikhande": (shrikhande, 0),
-    "paley": (paley, 1),
-    "random_gnm": (random_gnm, 3),
-    "random_regular": (random_regular, 3),
-    "worked_example": (worked_example, 0),
+    "cycle": (cycle, 1, lambda k: k),
+    "complete": (complete, 1, lambda k: k),
+    "path": (path, 1, lambda k: k),
+    "disjoint_union": (disjoint_union, 0, None),
+    "rook": (rook, 1, lambda k: k * k),
+    "shrikhande": (shrikhande, 0, lambda: 16),
+    "paley": (paley, 1, lambda q: q),
+    "random_gnm": (random_gnm, 3, lambda n, m, seed: n),
+    "random_regular": (random_regular, 3, lambda n, d, seed: n),
+    "worked_example": (worked_example, 0, lambda: 6),
 }
 
 
@@ -212,33 +216,48 @@ def _spec_ints(family: str, tokens: list[str], count: int) -> tuple[list[int], l
                          f"{':'.join(tokens[:count])!r}") from None
 
 
-def _parse_spec(tokens: list[str]) -> tuple[Graph, list[str]]:
-    """One generator spec from the front of ``tokens``; returns (graph, leftover)."""
+def _permuted(build: Callable[[], Graph], seed: int) -> Graph:
+    sub = build()
+    return permute(sub, Permutation.random(sub.n, random.Random(seed)))
+
+
+def _union(build_a: Callable[[], Graph], build_b: Callable[[], Graph]) -> Graph:
+    return disjoint_union(build_a(), build_b())
+
+
+def _parse_spec(tokens: list[str]) -> tuple[int, Callable[[], Graph], list[str]]:
+    """One generator spec from the front of ``tokens``: the vertex count of its
+    graph, a call that builds the graph, and the leftover tokens. Nothing is
+    built here, so an oversized spec can be refused first."""
     if not tokens:
         raise ValueError("empty generator spec")
     family, rest = tokens[0], tokens[1:]
     if family == "permuted":
         (seed,), rest = _spec_ints(family, rest, 1)
-        sub, rest = _parse_spec(rest)
-        return permute(sub, Permutation.random(sub.n, random.Random(seed))), rest
+        n, build, rest = _parse_spec(rest)
+        return n, partial(_permuted, build, seed), rest
     try:
-        fn, arity = _FAMILIES[family]
+        fn, arity, order = _FAMILIES[family]
     except KeyError:
         known = ", ".join(sorted(_FAMILIES))
         raise ValueError(f"unknown family {family!r}; known: {known}") from None
     if fn is disjoint_union:
-        a, rest = _parse_spec(rest)
-        b, rest = _parse_spec(rest)
-        return disjoint_union(a, b), rest
+        n_a, build_a, rest = _parse_spec(rest)
+        n_b, build_b, rest = _parse_spec(rest)
+        return n_a + n_b, partial(_union, build_a, build_b), rest
     params, rest = _spec_ints(family, rest, arity)
-    return fn(*params), rest
+    return order(*params), partial(fn, *params), rest
 
 
 def graph_from_spec(spec: str) -> Graph:
     """The graph of a colon-separated spec such as ``random_gnm:50:150:7``,
     ``disjoint_union:complete:3:complete:3`` or ``permuted:42:paley:13`` (a
-    seeded random relabeling of a spec)."""
-    graph, leftover = _parse_spec(spec.split(":"))
+    seeded random relabeling of a spec). A spec of more than ``MAX_VERTICES``
+    vertices is refused before anything is built."""
+    n, build, leftover = _parse_spec(spec.split(":"))
     if leftover:
         raise ValueError(f"unused generator parameters: {':'.join(leftover)}")
-    return graph
+    if n > MAX_VERTICES:
+        raise ValueError(f"generator spec {spec!r}: {n} vertices exceed the limit "
+                         f"of {MAX_VERTICES}")
+    return build()

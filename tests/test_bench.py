@@ -17,7 +17,7 @@ from rsvp.bench import (
     run_row,
     summary_line,
 )
-from rsvp.formats import to_dimacs
+from rsvp.formats import MAX_VERTICES, to_dimacs
 from rsvp.generators import complete, cycle, disjoint_union, paley, shrikhande
 
 
@@ -121,10 +121,12 @@ def test_row_error_is_isolated(tmp_path):
     rows = [
         ManifestRow("bad", str(tmp_path / "missing.col"), "gen:cycle:6", "unknown"),
         ManifestRow("good", "gen:cycle:6", "gen:permuted:3:cycle:6", "iso"),
+        ManifestRow("huge", "gen:cycle:6", f"gen:cycle:{MAX_VERTICES + 1}", "unknown"),
     ]
     reports = run_bench(rows)
     assert reports[0].error and reports[0].rsvp == ""
     assert not reports[1].error and reports[1].rsvp_ok == "yes"
+    assert "exceed the limit" in reports[2].error and reports[2].rsvp == ""
 
 
 def test_oracle_column_is_size_gated():

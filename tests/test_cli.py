@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 from rsvp.cli import main
-from rsvp.formats import parse_dimacs, parse_edge_list, to_dimacs, to_edge_list
+from rsvp.formats import MAX_VERTICES, parse_dimacs, parse_edge_list, to_dimacs, to_edge_list
 from rsvp.generators import (cycle, graph_from_spec, paley, path, random_gnm, rook, shrikhande,
                               worked_example)
 from rsvp.graphs import Graph
@@ -54,6 +54,11 @@ def test_gen_edgelist_format(capsys):
 def test_gen_rejects_unknown_family(capsys):
     assert main(["gen", "moebius", "5"]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_gen_refuses_a_graph_over_the_vertex_limit(capsys):
+    assert main(["gen", "cycle", str(MAX_VERTICES + 1)]) == 2
+    assert "exceed the limit" in capsys.readouterr().err
 
 
 def test_gen_rejects_leftover_params(capsys):

@@ -7,7 +7,9 @@ from math import comb
 
 import pytest
 
+from rsvp.formats import MAX_VERTICES
 from rsvp.generators import (
+    _parse_spec,
     complete,
     cycle,
     disjoint_union,
@@ -178,6 +180,35 @@ def test_generate_dispatch():
     assert graph_from_spec("shrikhande") == shrikhande()
     with pytest.raises(ValueError, match="unknown family 'hypercube'; known: complete, "):
         graph_from_spec("hypercube:3")
+
+
+@pytest.mark.parametrize("spec", [
+    "cycle:7", "complete:5", "path:6", "disjoint_union:cycle:3:path:4", "rook:3",
+    "shrikhande", "paley:13", "random_gnm:15:40:2", "random_regular:10:3:8",
+    "worked_example", "permuted:5:disjoint_union:rook:2:worked_example",
+])
+def test_spec_vertex_count_is_known_before_building(spec):
+    n, build, leftover = _parse_spec(spec.split(":"))
+    assert leftover == [] and build().n == n
+
+
+@pytest.mark.parametrize("spec", [
+    f"cycle:{MAX_VERTICES + 1}",
+    f"disjoint_union:path:{MAX_VERTICES}:path:1",
+    "permuted:1:rook:65",
+    "random_gnm:1000000000:0:1",
+])
+def test_oversized_spec_is_refused_before_building(spec, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a graph was built for an oversized spec")
+
+    monkeypatch.setattr("rsvp.generators.Graph", refuse)
+    with pytest.raises(ValueError, match=f"generator spec '{spec}': .* exceed the limit"):
+        graph_from_spec(spec)
+
+
+def test_spec_at_the_vertex_limit_is_built():
+    assert graph_from_spec(f"path:{MAX_VERTICES}").n == MAX_VERTICES
 
 
 def test_generators_pure():
