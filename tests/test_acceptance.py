@@ -10,8 +10,10 @@ import io
 import random
 import statistics
 import time
+from collections import defaultdict
 from contextlib import redirect_stdout
 from fractions import Fraction
+from itertools import combinations
 
 from conftest import atlas, mixed_family_graph, random_graph, shuffled_copy
 from rsvp.cli import main
@@ -144,6 +146,23 @@ def test_criterion_4_one_sided_error_vs_oracle():
         f"{non_iso_pairs} non-isomorphic pairs: rsvp={fp_rsvp}, wl={fp_wl}"
     )
     _report(4, soundness_violations == 0 and fp_rsvp <= fp_wl, detail)
+
+
+def test_equal_certificates_of_non_isomorphic_atlas_graphs():
+    # criterion 4 counts only same-size pairs; certificates alone also tie
+    # graphs of different edge counts, e.g. the edgeless graph and a perfect
+    # matching, whose elements are all 0/1. The edge-count gate separates them.
+    counts = []
+    for n in range(2, 8):
+        by_certificate = defaultdict(list)
+        for g in atlas(n):
+            by_certificate[certificate(g)].append(g)
+        pairs = [pair for tied in by_certificate.values() for pair in combinations(tied, 2)]
+        counts.append(len(pairs))
+        for g, h in pairs:
+            assert rsvp_compare(g, h) == NonIsomorphic("edge counts differ")
+    print(f"equal-certificate pairs of atlas classes, n = 2..7: {counts}")
+    assert counts == [1, 1, 3, 5, 14, 39]
 
 
 def test_criterion_5_golden_fixture():

@@ -1,16 +1,26 @@
-"""Every name the package exports exists, and is exported once.
+"""Every name the package exports exists, is exported once, and is used.
 
 ``from rsvp import *`` raises ``AttributeError`` on a name in ``__all__`` that
 the package no longer binds, so a stale export only shows when someone uses
-the star import. Checking ``__all__`` stands in for a lint rule.
+the star import. Checking ``__all__`` stands in for a lint rule. So does the
+dead-API check: a public method or property of an exported class that
+neither the package nor the benchmark reads is API kept alive by tests alone.
 """
 
 from __future__ import annotations
 
+import inspect
+import io
+import tokenize
 from collections import Counter
+from functools import cached_property
+from pathlib import Path
 from types import ModuleType
 
 import rsvp
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+READERS = sorted(Path(rsvp.__file__).parent.glob("*.py")) + sorted(PERFBENCH.glob("*.py"))
 
 
 def export_faults(module: ModuleType) -> list[str]:
@@ -19,6 +29,51 @@ def export_faults(module: ModuleType) -> list[str]:
     missing = [name for name in names if not hasattr(module, name)]
     repeated = [name for name, count in Counter(names).items() if count > 1]
     return missing + repeated
+
+
+def attribute_reads(path: Path) -> list[tuple[Path, int, str]]:
+    """Every ``x.name`` in the file, as (path, line, name)."""
+    tokens = list(tokenize.generate_tokens(io.StringIO(path.read_text()).readline))
+    return [(path.resolve(), tok.start[0], tok.string)
+            for dot, tok in zip(tokens, tokens[1:])
+            if dot.string == "." and tok.type == tokenize.NAME]
+
+
+def _function(member):
+    """The function behind a method or property, None for anything else."""
+    if inspect.isfunction(member):
+        return member
+    if isinstance(member, (classmethod, staticmethod)):
+        return member.__func__
+    if isinstance(member, property):
+        return member.fget
+    if isinstance(member, cached_property):
+        return member.func
+    return None
+
+
+def unread_members(module: ModuleType, paths: list[Path]) -> list[str]:
+    """``Class.member`` for each public method or property of a class in
+    ``module.__all__`` that no file in ``paths`` reads as an attribute outside
+    the member's own definition. Reads are matched by name, so a member that
+    shares its name with any attribute read elsewhere counts as read."""
+    reads = [read for path in paths for read in attribute_reads(path)]
+    unread = []
+    for class_name in module.__all__:
+        cls = getattr(module, class_name)
+        if not inspect.isclass(cls):
+            continue
+        for name, member in vars(cls).items():
+            func = _function(member)
+            if name.startswith("_") or func is None:
+                continue
+            source = Path(inspect.getsourcefile(func)).resolve()
+            lines, first = inspect.getsourcelines(func)
+            own = range(first, first + len(lines))
+            if not any(word == name and not (path == source and line in own)
+                       for path, line, word in reads):
+                unread.append(f"{class_name}.{name}")
+    return unread
 
 
 def test_every_export_resolves_once():
@@ -30,3 +85,45 @@ def test_the_check_sees_stale_and_repeated_names():
     module.kept = 1
     module.__all__ = ["kept", "gone", "kept"]
     assert export_faults(module) == ["gone", "kept"]
+
+
+def test_no_public_member_is_read_by_tests_alone():
+    assert {path.parent.name for path in READERS} == {"rsvp", "perfbench"}
+    assert unread_members(rsvp, READERS) == []
+
+
+class Probe:
+    def probe_read(self) -> None:
+        pass
+
+    def probe_unread(self) -> None:
+        pass
+
+    def probe_self_only(self, depth: int) -> None:
+        if depth:
+            self.probe_self_only(depth - 1)
+
+    @property
+    def probe_shown(self) -> int:
+        return 0
+
+    @classmethod
+    def probe_made(cls) -> Probe:
+        return cls()
+
+    def _probe_private(self) -> None:
+        pass
+
+
+def test_the_dead_api_check_sees_unread_members(tmp_path):
+    reader = tmp_path / "reader.py"
+    reader.write_text("p = Probe.probe_made()\np.probe_read()\nprint(p.probe_shown)\n")
+    module = ModuleType("fake")
+    module.Probe = Probe
+    module.value = 1
+    module.__all__ = ["Probe", "value"]
+    assert unread_members(module, [reader, Path(__file__)]) == [
+        "Probe.probe_unread", "Probe.probe_self_only"]
+    assert unread_members(module, [Path(__file__)]) == [
+        "Probe.probe_read", "Probe.probe_unread", "Probe.probe_self_only",
+        "Probe.probe_shown", "Probe.probe_made"]

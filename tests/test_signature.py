@@ -194,6 +194,13 @@ def test_certificates_separate_refinement_hard_pairs():
     assert certificate(shrikhande()) != certificate(rook(4))
 
 
+def test_certificate_alone_ties_k2_and_its_complement():
+    # with either vertex of K2 deleted its neighbour reaches nothing, so every
+    # element is 0/1, as in the edgeless graph
+    assert certificate(Graph(2)) == certificate(Graph(2, [(0, 1)]))
+    assert rsvp_compare(Graph(2), Graph(2, [(0, 1)])) == NonIsomorphic("edge counts differ")
+
+
 def test_serialize_k2():
     assert certificate(complete(2)).serialize() == "0/1,0/1\n0/1,0/1\n"
 
