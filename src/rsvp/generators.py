@@ -197,7 +197,7 @@ _FAMILIES = {
     "complete": (complete, 1, lambda k: k),
     "path": (path, 1, lambda k: k),
     "disjoint_union": (disjoint_union, 0, None),
-    "rook": (rook, 1, lambda k: k * k),
+    "rook": (rook, 1, lambda k: max(k, 0) ** 2),
     "shrikhande": (shrikhande, 0, lambda: 16),
     "paley": (paley, 1, lambda q: q),
     "random_gnm": (random_gnm, 3, lambda n, m, seed: n),
@@ -216,15 +216,6 @@ def _spec_ints(family: str, tokens: list[str], count: int) -> tuple[list[int], l
                          f"{':'.join(tokens[:count])!r}") from None
 
 
-def _permuted(build: Callable[[], Graph], seed: int) -> Graph:
-    sub = build()
-    return permute(sub, Permutation.random(sub.n, random.Random(seed)))
-
-
-def _union(build_a: Callable[[], Graph], build_b: Callable[[], Graph]) -> Graph:
-    return disjoint_union(build_a(), build_b())
-
-
 def _parse_spec(tokens: list[str]) -> tuple[int, Callable[[], Graph], list[str]]:
     """One generator spec from the front of ``tokens``: the vertex count of its
     graph, a call that builds the graph, and the leftover tokens. Nothing is
@@ -235,7 +226,7 @@ def _parse_spec(tokens: list[str]) -> tuple[int, Callable[[], Graph], list[str]]
     if family == "permuted":
         (seed,), rest = _spec_ints(family, rest, 1)
         n, build, rest = _parse_spec(rest)
-        return n, partial(_permuted, build, seed), rest
+        return n, lambda: permute(build(), Permutation.random(n, random.Random(seed))), rest
     try:
         fn, arity, order = _FAMILIES[family]
     except KeyError:
@@ -244,7 +235,7 @@ def _parse_spec(tokens: list[str]) -> tuple[int, Callable[[], Graph], list[str]]
     if fn is disjoint_union:
         n_a, build_a, rest = _parse_spec(rest)
         n_b, build_b, rest = _parse_spec(rest)
-        return n_a + n_b, partial(_union, build_a, build_b), rest
+        return n_a + n_b, lambda: disjoint_union(build_a(), build_b()), rest
     params, rest = _spec_ints(family, rest, arity)
     return order(*params), partial(fn, *params), rest
 

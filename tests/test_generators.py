@@ -211,6 +211,11 @@ def test_spec_at_the_vertex_limit_is_built():
     assert graph_from_spec(f"path:{MAX_VERTICES}").n == MAX_VERTICES
 
 
+def test_negative_rook_order_is_not_reported_as_oversized():
+    with pytest.raises(ValueError, match="rook needs k >= 1"):
+        graph_from_spec("rook:-100")
+
+
 def test_generators_pure():
     assert graph_from_spec("random_gnm:10:12:3") == graph_from_spec("random_gnm:10:12:3")
     assert shrikhande().adjacency == shrikhande().adjacency
