@@ -1,7 +1,9 @@
 """Manifest-driven benchmark harness producing verdict tables.
 
 A manifest is a CSV with columns ``name,graph_a,graph_b,expected``. Graph
-references are file paths or inline generator specs (``gen:`` prefix), e.g.::
+references, read by :func:`resolve_graph_ref` here and on the command line,
+are file paths, ``-`` for standard input, or inline generator specs (``gen:``
+prefix), e.g.::
 
     gen:cycle:6
     gen:random_gnm:50:150:7
@@ -20,11 +22,13 @@ import concurrent.futures
 import csv
 import io
 import os
+import sys
 import time
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
-from .formats import load_graph
+from .formats import ParseError, load_graph
 from .generators import graph_from_spec
 from .graphs import Graph
 from .oracle import ORACLE_SIZE_LIMIT, find_isomorphism
@@ -60,10 +64,21 @@ class ReportRow:
 
 
 def resolve_graph_ref(ref: str) -> Graph:
-    """A ``gen:`` inline spec, or a readable graph file (format sniffed)."""
-    if ref.startswith("gen:"):
-        return graph_from_spec(ref[len("gen:"):])
-    return load_graph(ref)
+    """The graph of a ``gen:`` spec, of ``-`` (stdin) or of a graph file
+    (format sniffed). Reader warnings go to stderr and a bad spec or file
+    raises :class:`ParseError`, each led by ``ref``."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            if ref.startswith("gen:"):
+                graph = graph_from_spec(ref[len("gen:"):])
+            else:
+                graph = load_graph(ref)
+        except ValueError as exc:  # ParseError and UnicodeDecodeError among them
+            raise ParseError(f"{ref}: {exc}") from exc
+    for warning in caught:
+        print(f"warning: {ref}: {warning.message}", file=sys.stderr)
+    return graph
 
 
 def load_manifest(path: str | Path) -> list[ManifestRow]:

@@ -2,18 +2,21 @@
 
 Commands::
 
-    rsvp certify <file> [--digest]
+    rsvp certify <graph> [--digest]
     rsvp compare <a> <b> [--method rsvp|wl|oracle] [--force]
     rsvp gen <family> [params...] [-o OUT] [--format dimacs|edgelist]
     rsvp bench <manifest.csv|tables-builtin> [--csv] [--jobs N]
 
 Exit codes: 0 success (for compare: certificates equal / possibly or exactly
-isomorphic), 1 non-isomorphic, 2 error. Graph files may be ``-`` for stdin;
-their format is sniffed. Equal certificates prove nothing, so ``compare``
-always says whether its candidate mapping verified. The candidate pairs
-vertices of equal signature in id order, so ``unverified`` is expected
-whenever a signature class holds more than one vertex, as in vertex-transitive
-graphs; only ``--method oracle`` proves isomorphism.
+isomorphic), 1 non-isomorphic, 2 error. A graph is given as in a manifest: a
+file path (format sniffed), ``-`` for stdin, or a ``gen:`` generator spec such
+as ``gen:rook:4``; a file whose name starts with ``gen:`` is given as
+``./gen:...``. Reader warnings and errors name the graph they came from.
+Equal certificates prove nothing, so ``compare`` always says whether its
+candidate mapping verified. The candidate pairs vertices of equal signature in
+id order, so ``unverified`` is expected whenever a signature class holds more
+than one vertex, as in vertex-transitive graphs; only ``--method oracle``
+proves isomorphism.
 """
 
 from __future__ import annotations
@@ -21,29 +24,18 @@ from __future__ import annotations
 import argparse
 import hashlib
 import sys
-import warnings
 
-from .bench import (builtin_manifest, format_csv, format_table, load_manifest, run_bench,
-                    summary_line)
-from .formats import ParseError, load_graph, to_dimacs, to_edge_list
+from .bench import (builtin_manifest, format_csv, format_table, load_manifest,
+                    resolve_graph_ref, run_bench, summary_line)
+from .formats import ParseError, to_dimacs, to_edge_list
 from .generators import graph_from_spec
-from .graphs import Graph
 from .oracle import ORACLE_SIZE_LIMIT, find_isomorphism
 from .refinement import WLVerdict, wl_compare
 from .signature import CertificatesEqual, certificate, rsvp_compare, verify_mapping
 
 
-def _load(path: str) -> Graph:
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        graph = load_graph(path)
-    for warning in caught:
-        print(f"warning: {path}: {warning.message}", file=sys.stderr)
-    return graph
-
-
 def cmd_certify(args: argparse.Namespace) -> int:
-    graph = _load(args.input)
+    graph = resolve_graph_ref(args.input)
     # line by line, so the whole serialized text and its encoded copy are
     # never held next to the certificate; the bytes are serialize()'s
     digest = hashlib.sha256()
@@ -58,8 +50,8 @@ def cmd_certify(args: argparse.Namespace) -> int:
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
-    a = _load(args.a)
-    b = _load(args.b)
+    a = resolve_graph_ref(args.a)
+    b = resolve_graph_ref(args.b)
 
     if args.method == "rsvp":
         verdict = rsvp_compare(a, b)
@@ -129,7 +121,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     certify = sub.add_parser("certify", help="print a graph's certificate")
-    certify.add_argument("input", help="graph file, or - for stdin")
+    certify.add_argument("input", help="graph file, - for stdin, or gen:<spec>")
     certify.add_argument("--digest", action="store_true",
                          help="also print a sha256 of the certificate to stderr")
     certify.set_defaults(func=cmd_certify)

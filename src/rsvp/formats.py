@@ -22,6 +22,7 @@ vertex count above ``MAX_VERTICES``, before anything is allocated for it.
 
 from __future__ import annotations
 
+import re
 import sys
 import warnings
 from pathlib import Path
@@ -46,6 +47,39 @@ def _warn(message: str) -> None:
     warnings.warn(GraphFormatWarning(message), stacklevel=3)
 
 
+def _counts(tokens: list[str], lineno: int, name: str) -> list[int]:
+    """The non-negative integers of a header line; the first counts vertices,
+    so it must not exceed ``MAX_VERTICES``."""
+    try:
+        counts = [int(token) for token in tokens]
+    except ValueError:
+        raise ParseError(f"line {lineno}: non-integer {name}") from None
+    if min(counts) < 0:
+        raise ParseError(f"line {lineno}: negative {name}")
+    if counts[0] > MAX_VERTICES:
+        raise ParseError(f"line {lineno}: {counts[0]} vertices exceed the limit of {MAX_VERTICES}")
+    return counts
+
+
+def _add_edge(edges: set[tuple[int, int]], lineno: int, u_token: str, w_token: str,
+              n: int, base: int, kind: str = "") -> int:
+    """Add the edge between two ``base``-based vertex ids to ``edges`` as a
+    0-based pair; 1 if it was there already (a duplicate line), else 0."""
+    try:
+        u, w = int(u_token), int(w_token)
+    except ValueError:
+        raise ParseError(f"line {lineno}: non-integer vertex id") from None
+    if not (base <= u < n + base and base <= w < n + base):
+        raise ParseError(f"line {lineno}: vertex id outside {base}..{n + base - 1}")
+    if u == w:
+        raise ParseError(f"line {lineno}: self-loop '{kind}{u} {w}'")
+    key = (u - base, w - base) if u < w else (w - base, u - base)
+    if key in edges:
+        return 1
+    edges.add(key)
+    return 0
+
+
 def parse_dimacs(text: str) -> Graph:
     """Parse DIMACS ``p edge`` format into a :class:`Graph`."""
     n: int | None = None
@@ -64,32 +98,13 @@ def parse_dimacs(text: str) -> Graph:
                 raise ParseError(f"line {lineno}: second 'p' line")
             if len(tokens) != 4 or tokens[1] != "edge":
                 raise ParseError(f"line {lineno}: expected 'p edge <n> <m>'")
-            try:
-                n, declared_m = int(tokens[2]), int(tokens[3])
-            except ValueError:
-                raise ParseError(f"line {lineno}: non-integer counts") from None
-            if n < 0 or declared_m < 0:
-                raise ParseError(f"line {lineno}: negative counts")
-            if n > MAX_VERTICES:
-                raise ParseError(f"line {lineno}: {n} vertices exceed the limit of {MAX_VERTICES}")
+            n, declared_m = _counts(tokens[2:], lineno, "counts")
         elif kind == "e":
             if n is None:
                 raise ParseError(f"line {lineno}: 'e' line before 'p' line")
             if len(tokens) != 3:
                 raise ParseError(f"line {lineno}: expected 'e <u> <v>'")
-            try:
-                u, w = int(tokens[1]), int(tokens[2])
-            except ValueError:
-                raise ParseError(f"line {lineno}: non-integer vertex id") from None
-            if not (1 <= u <= n and 1 <= w <= n):
-                raise ParseError(f"line {lineno}: vertex id outside 1..{n}")
-            if u == w:
-                raise ParseError(f"line {lineno}: self-loop 'e {u} {w}'")
-            key = (u - 1, w - 1) if u < w else (w - 1, u - 1)
-            if key in edges:
-                duplicates += 1
-            else:
-                edges.add(key)
+            duplicates += _add_edge(edges, lineno, tokens[1], tokens[2], n, 1, "e ")
         elif kind == "n":
             # vertex color annotations are out of scope
             colored_lines += 1
@@ -114,37 +129,17 @@ def parse_edge_list(text: str) -> Graph:
     duplicates = 0
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        tokens = raw.split("#", 1)[0].split()
+        if not tokens:
             continue
-        tokens = line.split()
         if n is None:
             if len(tokens) != 1:
                 raise ParseError(f"line {lineno}: expected vertex count, got {raw!r}")
-            try:
-                n = int(tokens[0])
-            except ValueError:
-                raise ParseError(f"line {lineno}: non-integer vertex count") from None
-            if n < 0:
-                raise ParseError(f"line {lineno}: negative vertex count")
-            if n > MAX_VERTICES:
-                raise ParseError(f"line {lineno}: {n} vertices exceed the limit of {MAX_VERTICES}")
-            continue
-        if len(tokens) != 2:
+            (n,) = _counts(tokens, lineno, "vertex count")
+        elif len(tokens) != 2:
             raise ParseError(f"line {lineno}: expected '<u> <v>', got {raw!r}")
-        try:
-            u, w = int(tokens[0]), int(tokens[1])
-        except ValueError:
-            raise ParseError(f"line {lineno}: non-integer vertex id") from None
-        if not (0 <= u < n and 0 <= w < n):
-            raise ParseError(f"line {lineno}: vertex id outside 0..{n - 1}")
-        if u == w:
-            raise ParseError(f"line {lineno}: self-loop '{u} {w}'")
-        key = (u, w) if u < w else (w, u)
-        if key in edges:
-            duplicates += 1
         else:
-            edges.add(key)
+            duplicates += _add_edge(edges, lineno, tokens[0], tokens[1], n, 0)
 
     if n is None:
         raise ParseError("missing vertex count line")
@@ -168,16 +163,12 @@ def to_edge_list(g: Graph) -> str:
 
 
 def sniff_format(text: str) -> str:
-    """Guess ``"dimacs"`` or ``"edgelist"`` from the first significant line."""
-    for raw in text.splitlines():
-        stripped = raw.strip()
-        if not stripped:
-            continue
-        first = stripped.split()[0]
-        if first in ("c", "p", "e", "n"):
-            return "dimacs"
-        return "edgelist"
-    raise ParseError("empty input")
+    """Guess ``"dimacs"`` or ``"edgelist"`` from the first whitespace-delimited
+    token, which starts the first significant line."""
+    first = re.search(r"\S+", text)
+    if first is None:
+        raise ParseError("empty input")
+    return "dimacs" if first.group() in ("c", "p", "e", "n") else "edgelist"
 
 
 def parse_graph(text: str) -> Graph:

@@ -230,7 +230,7 @@ def _parse_spec(tokens: list[str]) -> tuple[int, Callable[[], Graph], list[str]]
     try:
         fn, arity, order = _FAMILIES[family]
     except KeyError:
-        known = ", ".join(sorted(_FAMILIES))
+        known = ", ".join(sorted([*_FAMILIES, "permuted"]))
         raise ValueError(f"unknown family {family!r}; known: {known}") from None
     if fn is disjoint_union:
         n_a, build_a, rest = _parse_spec(rest)

@@ -129,6 +129,14 @@ def test_row_error_is_isolated(tmp_path):
     assert "exceed the limit" in reports[2].error and reports[2].rsvp == ""
 
 
+def test_row_error_names_the_failing_file(tmp_path):
+    bad = tmp_path / "bad.col"
+    bad.write_text("p edge 2 1\ne 1 1\n", encoding="utf-8")
+    report = run_row(ManifestRow("bad", "gen:cycle:6", str(bad), "unknown"))
+    assert report.error == f"{bad}: line 2: self-loop 'e 1 1'"
+    assert report.rsvp == ""
+
+
 def test_oracle_column_is_size_gated():
     skipped = run_row(ManifestRow("c20", "gen:cycle:20", "gen:permuted:3:cycle:20", "iso"))
     assert skipped.oracle == "skipped"

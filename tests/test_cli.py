@@ -147,6 +147,51 @@ def test_certify_warns_on_duplicate_edges(tmp_path, capsys):
     assert "duplicate" in capsys.readouterr().err
 
 
+def test_certify_reads_a_generator_spec_as_the_file_gen_writes(tmp_path, capsys):
+    target = tmp_path / "paley13.col"
+    assert main(["gen", "paley", "13", "-o", str(target)]) == 0
+    assert main(["certify", str(target)]) == 0
+    from_file = capsys.readouterr().out
+    assert main(["certify", "gen:paley:13"]) == 0
+    assert capsys.readouterr().out == from_file != ""
+
+
+def test_a_file_named_like_a_spec_is_read_through_dot_slash(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    Path("gen:cycle:4").write_text(to_dimacs(cycle(5)), encoding="utf-8")
+    outputs = []
+    for ref in ("./gen:cycle:4", "gen:cycle:5", "gen:cycle:4"):
+        assert main(["certify", ref]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1] != outputs[2]
+
+
+def test_compare_reads_generator_specs(capsys):
+    assert main(["compare", "gen:shrikhande", "gen:rook:4"]) == 1
+    assert capsys.readouterr().out.startswith("non-isomorphic")
+
+
+def test_compare_reads_stdin_next_to_a_spec_and_names_it(monkeypatch, capsys):
+    monkeypatch.setattr("sys.stdin", io.StringIO(to_dimacs(cycle(5)) + "e 2 1\n"))
+    assert main(["compare", "-", "gen:permuted:3:cycle:5"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out.startswith("certificates equal")
+    assert captured.err == "warning: -: 1 duplicate edge line(s) collapsed\n"
+
+
+def test_compare_error_names_the_failing_file(graph_file, tmp_path, capsys):
+    a = graph_file("a.col", cycle(3))
+    bad = tmp_path / "bad.col"
+    bad.write_text("p edge 2 1\ne 1 1\n", encoding="utf-8")
+    assert main(["compare", a, str(bad)]) == 2
+    assert capsys.readouterr().err == f"error: {bad}: line 2: self-loop 'e 1 1'\n"
+    bad.write_bytes(b"p edge 2 1\ne 1 \xff\n")
+    assert main(["compare", a, str(bad)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {bad}: 'utf-8' codec can't decode")
+    assert main(["compare", a, "gen:moebius:5"]) == 2
+    assert capsys.readouterr().err.startswith("error: gen:moebius:5: unknown family 'moebius'")
+
+
 def test_compare_srg_pair_rsvp(graph_file, capsys):
     a = graph_file("s.col", shrikhande())
     b = graph_file("r.col", rook(4))
@@ -267,6 +312,21 @@ def test_bench_manifest_file_and_error_row(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "certificates-equal" in out
     assert "errors: 1" in out
+
+
+def test_bench_prints_every_reader_warning_with_its_file(tmp_path, capsys):
+    a, b = tmp_path / "a.col", tmp_path / "b.col"
+    for target in (a, b):
+        # one duplicate edge line each
+        target.write_text("p edge 3 2\ne 1 2\ne 2 1\ne 2 3\n", encoding="utf-8")
+    manifest = tmp_path / "dups.csv"
+    manifest.write_text(f"name,graph_a,graph_b,expected\nab,{a},{b},iso\nba,{b},{a},iso\n",
+                        encoding="utf-8")
+    assert main(["bench", str(manifest)]) == 0
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [
+        f"warning: {ref}: 1 duplicate edge line(s) collapsed" for ref in (a, b, b, a)]
+    assert "errors: 0" in captured.out
 
 
 def test_bench_manifest_row_with_missing_cells(tmp_path, capsys):

@@ -3,6 +3,8 @@ from __future__ import annotations
 import io
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rsvp.formats import (
     MAX_VERTICES,
@@ -129,6 +131,38 @@ def test_sniff_format():
     assert sniff_format("# hi\n3") == "edgelist"
     with pytest.raises(ParseError):
         sniff_format("  \n ")
+
+
+def _sniff_by_lines(text: str) -> str | None:
+    """The line-splitting rule sniff_format had before it read one token."""
+    for raw in text.splitlines():
+        stripped = raw.strip()
+        if not stripped:
+            continue
+        first = stripped.split()[0]
+        if first in ("c", "p", "e", "n"):
+            return "dimacs"
+        return "edgelist"
+    return None
+
+
+# ASCII and Unicode whitespace, line boundaries that are not "\n", a byte
+# order mark (not whitespace) and the tokens that pick one format or the other
+_SNIFF_PIECES = st.sampled_from([
+    "c", "p", "e", "n", "#", "1", "cp", "x", " ", "\t", "\n", "\r", "\x0b", "\x0c", "\x1c",
+    "\x1e", "\x85", "\xa0", "\u2028", "\u2029", "\u3000", "\ufeff",
+])
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.one_of(st.lists(_SNIFF_PIECES, max_size=10).map("".join), st.text(max_size=8)))
+def test_sniff_format_agrees_with_the_line_rule(text):
+    expected = _sniff_by_lines(text)
+    if expected is None:
+        with pytest.raises(ParseError, match="empty input"):
+            sniff_format(text)
+    else:
+        assert sniff_format(text) == expected
 
 
 @pytest.mark.parametrize(

@@ -182,6 +182,20 @@ def test_generate_dispatch():
         graph_from_spec("hypercube:3")
 
 
+def test_unknown_family_message_lists_every_family_the_parser_accepts():
+    with pytest.raises(ValueError, match="unknown family") as refused:
+        graph_from_spec("hypercube:3")
+    known = str(refused.value).split("known: ")[1].split(", ")
+    assert "permuted" in known and "disjoint_union" in known
+    # each listed name is a family; a spec of it alone fails for its
+    # parameters at most, never as an unknown family
+    for family in known:
+        try:
+            graph_from_spec(family)
+        except ValueError as exc:
+            assert "unknown family" not in str(exc)
+
+
 @pytest.mark.parametrize("spec", [
     "cycle:7", "complete:5", "path:6", "disjoint_union:cycle:3:path:4", "rook:3",
     "shrikhande", "paley:13", "random_gnm:15:40:2", "random_regular:10:3:8",
