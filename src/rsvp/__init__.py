@@ -22,7 +22,6 @@ from .formats import (
 from .generators import (
     complete,
     cycle,
-    disjoint_union,
     paley,
     path,
     random_gnm,
@@ -31,7 +30,7 @@ from .generators import (
     shrikhande,
     worked_example,
 )
-from .graphs import Graph, Permutation, permute
+from .graphs import Graph, Permutation, disjoint_union, permute, verify_mapping
 from .oracle import find_isomorphism
 from .reachability import Group, HopParentIndex, aggregate_hp
 from .refinement import Coloring, WLVerdict, color_refinement, wl_compare
@@ -42,7 +41,6 @@ from .signature import (
     Verdict,
     certificate,
     rsvp_compare,
-    verify_mapping,
     vertex_signature,
 )
 

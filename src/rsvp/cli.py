@@ -11,7 +11,8 @@ Exit codes: 0 success (for compare: certificates equal / possibly or exactly
 isomorphic), 1 non-isomorphic, 2 error. A graph is given as in a manifest: a
 file path (format sniffed), ``-`` for stdin, or a ``gen:`` generator spec such
 as ``gen:rook:4``; a file whose name starts with ``gen:`` is given as
-``./gen:...``. Reader warnings and errors name the graph they came from.
+``./gen:...``; ``gen`` reads ``gen:<family>:<params>`` through the same
+loader. Reader warnings and errors name the graph they came from.
 Equal certificates prove nothing, so ``compare`` always says whether its
 candidate mapping verified. The candidate pairs vertices of equal signature in
 id order, so ``unverified`` is expected whenever a signature class holds more
@@ -28,10 +29,10 @@ import sys
 from .bench import (builtin_manifest, format_csv, format_table, load_manifest,
                     resolve_graph_ref, run_bench, summary_line)
 from .formats import ParseError, to_dimacs, to_edge_list
-from .generators import graph_from_spec
+from .graphs import verify_mapping
 from .oracle import ORACLE_SIZE_LIMIT, find_isomorphism
 from .refinement import WLVerdict, wl_compare
-from .signature import CertificatesEqual, certificate, rsvp_compare, verify_mapping
+from .signature import CertificatesEqual, certificate, rsvp_compare
 
 
 def cmd_certify(args: argparse.Namespace) -> int:
@@ -86,7 +87,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
-    graph = graph_from_spec(":".join([args.family] + args.params))
+    graph = resolve_graph_ref(":".join(["gen", args.family, *args.params]))
     text = to_edge_list(graph) if args.format == "edgelist" else to_dimacs(graph)
     if args.output:
         with open(args.output, "w", encoding="utf-8") as handle:

@@ -27,12 +27,7 @@ import sys
 import warnings
 from pathlib import Path
 
-from .graphs import Graph
-
-# largest vertex count a reader or a generator spec accepts: a certificate
-# holds n² elements, so even an edgeless graph at the limit certifies to
-# 64 MiB of text, and the adjacency rows are allocated up front
-MAX_VERTICES = 4_096
+from .graphs import MAX_VERTICES, Graph
 
 
 class ParseError(ValueError):

@@ -9,8 +9,7 @@ from functools import partial
 from itertools import combinations
 from math import comb, isqrt
 
-from .formats import MAX_VERTICES
-from .graphs import Graph, Permutation, permute
+from .graphs import MAX_VERTICES, Graph, Permutation, disjoint_union, permute
 
 _REGULAR_PAIRING_ATTEMPTS = 1000
 # tried double-edge switches per pair of the pairing before repair gives up
@@ -35,10 +34,8 @@ def path(k: int) -> Graph:
     return Graph(k, [(i, i + 1) for i in range(k - 1)])
 
 
-def disjoint_union(g: Graph, h: Graph) -> Graph:
-    """Vertices of ``h`` are relabeled to g.n..g.n+h.n-1."""
-    shifted = [(u + g.n, w + g.n) for u, w in h.edges()]
-    return Graph(g.n + h.n, g.edges() + shifted)
+def _edge(u: int, w: int) -> tuple[int, int]:
+    return (u, w) if u < w else (w, u)
 
 
 def rook(k: int) -> Graph:
@@ -69,7 +66,7 @@ def shrikhande() -> Graph:
             v = 4 * a + b
             for da, db in deltas:
                 w = 4 * ((a + da) % 4) + (b + db) % 4
-                edges.add((v, w) if v < w else (w, v))
+                edges.add(_edge(v, w))
     return Graph(16, edges)
 
 
@@ -115,10 +112,6 @@ def random_gnm(n: int, m: int, seed: int) -> Graph:
         a = (isqrt(8 * r + 1) + 1) // 2
         edges.append((n - 1 - a, n - 1 - r + a * (a - 1) // 2))
     return Graph(n, edges)
-
-
-def _edge(u: int, w: int) -> tuple[int, int]:
-    return (u, w) if u < w else (w, u)
 
 
 def _repair_by_switches(n: int, d: int, stubs: list[int], rng: random.Random) -> Graph:
@@ -169,7 +162,7 @@ def random_regular(n: int, d: int, seed: int) -> Graph:
             u, w = stubs[i], stubs[i + 1]
             if u == w:
                 break
-            key = (u, w) if u < w else (w, u)
+            key = _edge(u, w)
             if key in edges:
                 break
             edges.add(key)
@@ -249,6 +242,5 @@ def graph_from_spec(spec: str) -> Graph:
     if leftover:
         raise ValueError(f"unused generator parameters: {':'.join(leftover)}")
     if n > MAX_VERTICES:
-        raise ValueError(f"generator spec {spec!r}: {n} vertices exceed the limit "
-                         f"of {MAX_VERTICES}")
+        raise ValueError(f"{n} vertices exceed the limit of {MAX_VERTICES}")
     return build()

@@ -1,10 +1,16 @@
-"""Simple undirected graphs over dense 0-based vertex ids."""
+"""Simple undirected graphs over dense 0-based vertex ids, the permutations
+that relabel them, and the graph-level helpers every other module shares."""
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
 from typing import Iterable
+
+# largest vertex count a reader or a generator spec accepts: a certificate
+# holds n² elements, so even an edgeless graph at the limit certifies to
+# 64 MiB of text, and the adjacency rows are allocated up front
+MAX_VERTICES = 4_096
 
 
 class Graph:
@@ -127,3 +133,21 @@ def permute(g: Graph, p: Permutation) -> Graph:
     if len(p) != g.n:
         raise ValueError(f"permutation size {len(p)} != vertex count {g.n}")
     return Graph(g.n, ((p[u], p[w]) for u, w in g.edges()))
+
+
+def disjoint_union(g: Graph, h: Graph) -> Graph:
+    """Vertices of ``h`` are relabeled to g.n..g.n+h.n-1."""
+    shifted = [(u + g.n, w + g.n) for u, w in h.edges()]
+    return Graph(g.n + h.n, g.edges() + shifted)
+
+
+def verify_mapping(g1: Graph, g2: Graph, f: Permutation) -> bool:
+    """True iff ``f`` maps edges to edges and non-edges to non-edges."""
+    if len(f) != g1.n or g1.n != g2.n:
+        raise ValueError("mapping size does not match the graphs")
+    if g1.m != g2.m:
+        return False
+    # f is injective and the edge counts are equal, so edges to edges is
+    # enough: it leaves no g2 edge for a g1 non-edge to map onto
+    rows2 = g2.bits
+    return all(rows2[f[u]] >> f[w] & 1 for u, w in g1.edges())

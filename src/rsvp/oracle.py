@@ -9,10 +9,8 @@ from __future__ import annotations
 from collections import Counter, deque
 from collections.abc import Iterator
 
-from .generators import disjoint_union
-from .graphs import Graph, Permutation
+from .graphs import Graph, Permutation, disjoint_union, verify_mapping
 from .refinement import color_refinement
-from .signature import verify_mapping
 
 # exact search is refused above this vertex count unless forced
 ORACLE_SIZE_LIMIT = 16
@@ -45,13 +43,12 @@ def find_isomorphism(g1: Graph, g2: Graph) -> Permutation | None:
     seeded by joint color refinement classes; candidate order is ascending
     ids, so failures reproduce exactly.
     """
-    if g1.n != g2.n or g1.m != g2.m:
+    # equal degree sequences imply equal vertex and edge counts
+    if g1.degree_sequence() != g2.degree_sequence():
         return None
     n = g1.n
     if n == 0:
         return Permutation(())
-    if g1.degree_sequence() != g2.degree_sequence():
-        return None
 
     colors = color_refinement(disjoint_union(g1, g2)).colors
     c1, c2 = colors[:n], colors[n:]

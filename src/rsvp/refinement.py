@@ -6,8 +6,7 @@ from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 
-from .generators import disjoint_union
-from .graphs import Graph
+from .graphs import Graph, disjoint_union
 
 
 @dataclass(frozen=True)

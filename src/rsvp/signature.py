@@ -223,14 +223,3 @@ def rsvp_compare(g1: Graph, g2: Graph) -> Verdict:
         mapping[vertices.popleft()] = v2
     return CertificatesEqual(Permutation(tuple(mapping)))
 
-
-def verify_mapping(g1: Graph, g2: Graph, f: Permutation) -> bool:
-    """True iff ``f`` maps edges to edges and non-edges to non-edges."""
-    if len(f) != g1.n or g1.n != g2.n:
-        raise ValueError("mapping size does not match the graphs")
-    if g1.m != g2.m:
-        return False
-    # f is injective and the edge counts are equal, so edges to edges is
-    # enough: it leaves no g2 edge for a g1 non-edge to map onto
-    rows2 = g2.bits
-    return all(rows2[f[u]] >> f[w] & 1 for u, w in g1.edges())

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import csv
 import hashlib
 import io
 import os
@@ -15,8 +16,8 @@ from rsvp.cli import main
 from rsvp.formats import MAX_VERTICES, parse_dimacs, parse_edge_list, to_dimacs, to_edge_list
 from rsvp.generators import (cycle, graph_from_spec, paley, path, random_gnm, rook, shrikhande,
                               worked_example)
-from rsvp.graphs import Graph
-from rsvp.signature import certificate, rsvp_compare, verify_mapping
+from rsvp.graphs import Graph, verify_mapping
+from rsvp.signature import certificate, rsvp_compare
 
 
 @pytest.fixture
@@ -64,6 +65,27 @@ def test_gen_refuses_a_graph_over_the_vertex_limit(capsys):
 def test_gen_rejects_leftover_params(capsys):
     assert main(["gen", "cycle", "6", "7"]) == 2
     assert "unused" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("spec", ["paley:13", "permuted:5:disjoint_union:rook:2:worked_example"])
+def test_gen_writes_the_dimacs_text_of_its_spec(spec, capsys):
+    assert main(["gen", *spec.split(":")]) == 0
+    assert capsys.readouterr().out == to_dimacs(graph_from_spec(spec))
+
+
+def test_an_oversized_spec_is_named_once_by_every_command(tmp_path, capsys):
+    expected = f"error: gen:cycle:5000: 5000 vertices exceed the limit of {MAX_VERTICES}\n"
+    assert main(["gen", "cycle", "5000"]) == 2
+    assert capsys.readouterr().err == expected
+    assert main(["certify", "gen:cycle:5000"]) == 2
+    assert capsys.readouterr().err == expected
+    manifest = tmp_path / "huge.csv"
+    manifest.write_text("name,graph_a,graph_b,expected\nhuge,gen:cycle:5,gen:cycle:5000,\n",
+                        encoding="utf-8")
+    assert main(["bench", str(manifest), "--csv"]) == 0
+    (row,) = csv.DictReader(io.StringIO(capsys.readouterr().out))
+    assert row["error"].count("gen:cycle:5000") == 1
+    assert "exceed the limit" in row["error"]
 
 
 def test_certify_k2(graph_file, capsys):

@@ -10,16 +10,10 @@ from hypothesis import strategies as st
 
 from conftest import atlas, graph_pairs, random_graph, shuffled_copy
 from rsvp.generators import complete, cycle, disjoint_union, path, rook, shrikhande
-from rsvp.graphs import Graph, Permutation, permute
+from rsvp.graphs import Graph, Permutation, permute, verify_mapping
 from rsvp.oracle import find_isomorphism
 from rsvp.refinement import WLVerdict, wl_compare
-from rsvp.signature import (
-    CertificatesEqual,
-    NonIsomorphic,
-    certificate,
-    rsvp_compare,
-    verify_mapping,
-)
+from rsvp.signature import CertificatesEqual, NonIsomorphic, certificate, rsvp_compare
 
 
 def to_networkx(g: Graph) -> nx.Graph:
@@ -74,6 +68,13 @@ def test_srg_pair_is_non_isomorphic_with_witness():
 def test_size_gates():
     assert find_isomorphism(complete(3), complete(4)) is None
     assert find_isomorphism(complete(3), cycle(3)) is not None
+    # the degree sequences are the one gate: they differ with the edge count,
+    assert find_isomorphism(path(4), cycle(4)) is None
+    # and also where n and m agree
+    star = Graph(4, [(0, 1), (0, 2), (0, 3)])
+    assert (star.n, star.m) == (path(4).n, path(4).m)
+    assert find_isomorphism(star, path(4)) is None
+    assert find_isomorphism(Graph(0), Graph(0)) == Permutation(())
 
 
 # graphs on n unlabeled vertices, OEIS A000088; a short atlas would quietly

@@ -21,7 +21,7 @@ from rsvp.generators import (
     shrikhande,
     worked_example,
 )
-from rsvp.graphs import Graph, Permutation, permute
+from rsvp.graphs import Graph, Permutation, permute, verify_mapping
 from rsvp.reachability import Group, aggregate_hp
 from rsvp.signature import (
     CertificatesEqual,
@@ -31,7 +31,6 @@ from rsvp.signature import (
     odd_primes,
     rsvp_compare,
     signature_element,
-    verify_mapping,
     vertex_signature,
 )
 
