@@ -13,11 +13,14 @@ file path (format sniffed), ``-`` for stdin, or a ``gen:`` generator spec such
 as ``gen:rook:4``; a file whose name starts with ``gen:`` is given as
 ``./gen:...``; ``gen`` reads ``gen:<family>:<params>`` through the same
 loader. Reader warnings and errors name the graph they came from.
-Equal certificates prove nothing, so ``compare`` always says whether its
-candidate mapping verified. The candidate pairs vertices of equal signature in
-id order, so ``unverified`` is expected whenever a signature class holds more
-than one vertex, as in vertex-transitive graphs; only ``--method oracle``
-proves isomorphism.
+Equal certificates prove nothing by themselves, so ``compare`` always says
+whether its mapping verified. It prints ``verified`` whenever its exact
+search, budgeted at n * n candidate checks, proves the pair isomorphic.
+Otherwise the mapping pairs equal signatures in id order, and ``unverified``
+means that pairing failed too: the search ran out of budget, as on relabeled
+``paley:29``, ``paley:101`` or ``shrikhande``, or the certificates tie on a
+non-isomorphic pair. ``unverified`` is not a verdict; ``--method oracle``
+decides both ways.
 """
 
 from __future__ import annotations

@@ -2,6 +2,8 @@
 
 The search is meant as ground truth at test scale (n up to ~16 in general),
 not as a competitor to industrial solvers; the worst case is exponential.
+With a budget it runs at any size and gives up instead, which is how
+``rsvp_compare`` uses it.
 """
 
 from __future__ import annotations
@@ -14,6 +16,10 @@ from .refinement import color_refinement
 
 # exact search is refused above this vertex count unless forced
 ORACLE_SIZE_LIMIT = 16
+
+
+class SearchBudgetExceeded(Exception):
+    """A budgeted search gave up before it could prove either answer."""
 
 
 def _bfs_order(g: Graph) -> list[int]:
@@ -36,12 +42,15 @@ def _bfs_order(g: Graph) -> list[int]:
     return order
 
 
-def find_isomorphism(g1: Graph, g2: Graph) -> Permutation | None:
+def find_isomorphism(g1: Graph, g2: Graph, budget: int | None = None) -> Permutation | None:
     """Exact: a verified isomorphism if one exists, else None.
 
     Backtracking over vertex assignments with adjacency consistency pruning,
     seeded by joint color refinement classes; candidate order is ascending
-    ids, so failures reproduce exactly.
+    ids, so failures reproduce exactly. With a ``budget``, every candidate
+    stream opened for a vertex charges its class size up front, and the
+    search raises SearchBudgetExceeded when it opens a stream after the
+    charges have passed the budget.
     """
     # equal degree sequences imply equal vertex and edge counts
     if g1.degree_sequence() != g2.degree_sequence():
@@ -63,13 +72,22 @@ def find_isomorphism(g1: Graph, g2: Graph) -> Permutation | None:
     rows2 = g2.bits
     mapping = [-1] * n
     used = 0  # bitset of the images mapped so far
+    checks = 0  # candidates charged so far
 
     def extend(u: int) -> Iterator[int]:
         # maps u to each of its candidates, ascending, that agrees with the
         # mapping so far; resuming undoes the previous choice
-        nonlocal used
+        nonlocal used, checks
         images = sum(1 << mapping[w] for w in adj1[u] if mapping[w] >= 0)
-        for v in candidates[c1[u]]:
+        pool = candidates[c1[u]]
+        if budget is not None:
+            # charged per stream, not per advance: counting advances would
+            # cost about as much as the work it bounds; the stream whose
+            # charge passes the budget still runs, the next one raises
+            if checks > budget:
+                raise SearchBudgetExceeded(f"more than {budget} candidate checks")
+            checks += len(pool)
+        for v in pool:
             bit = 1 << v
             # v is free and its mapped neighbors are exactly the images of
             # u's; its refinement class already gives it u's degree

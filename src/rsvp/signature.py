@@ -16,7 +16,7 @@ target is a neighbor of it, so two parents are at distance 1 if adjacent and 2
 A certificate is the sorted multiset of vertex signatures. Relabeling a graph
 permutes the multiset, so certificates of isomorphic graphs are equal; the
 converse does not hold, which is why an equal-certificates verdict carries a
-candidate mapping rather than an isomorphism claim.
+mapping that is an isomorphism only when verified.
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ from math import comb, gcd, isqrt, lcm
 # tracer patches rsvp.signature.distance_matrix
 from .distances import distance_matrix  # noqa: F401
 from .graphs import Graph, Permutation
+from .oracle import SearchBudgetExceeded, find_isomorphism
 from .reachability import Group, HopParentIndex, aggregate_hp
 
 
@@ -186,8 +187,9 @@ class NonIsomorphic:
 
 @dataclass(frozen=True)
 class CertificatesEqual:
-    """Signature multisets matched; ``mapping`` pairs equal-signature vertices
-    and is only a candidate isomorphism until verify_mapping confirms it."""
+    """Signature multisets matched. ``mapping`` is a verified isomorphism when
+    the budgeted search found one; otherwise it pairs equal-signature vertices
+    in id order and is only a candidate until verify_mapping confirms it."""
 
     mapping: Permutation
 
@@ -199,12 +201,15 @@ def rsvp_compare(g1: Graph, g2: Graph) -> Verdict:
     """Compare certificates; never calls truly isomorphic graphs non-isomorphic.
 
     Differing vertex counts, edge counts or degree sequences short-circuit
-    before any signature is computed. Otherwise g2's signatures are computed
-    one vertex at a time and each is matched to the lowest unmatched g1
-    vertex with an equal signature; the first one with no match left means
-    the graphs are non-isomorphic, and the rest are never computed. A full
-    matching yields CertificatesEqual with the induced candidate mapping,
-    which pairs the i-th smallest vertices of each signature class.
+    before any signature is computed. Next, an exact search budgeted at
+    n * n candidate checks looks for an isomorphism; one it finds settles
+    CertificatesEqual with no signature computed. The search never decides
+    NonIsomorphic. Otherwise g2's signatures are computed one vertex at a
+    time and each is matched to the lowest unmatched g1 vertex with an equal
+    signature; the first one with no match left means the graphs are
+    non-isomorphic, and the rest are never computed. A full matching yields
+    CertificatesEqual with the induced candidate mapping, which pairs the
+    i-th smallest vertices of each signature class.
     """
     if g1.n != g2.n:
         return NonIsomorphic("vertex counts differ")
@@ -212,6 +217,12 @@ def rsvp_compare(g1: Graph, g2: Graph) -> Verdict:
         return NonIsomorphic("edge counts differ")
     if g1.degree_sequence() != g2.degree_sequence():
         return NonIsomorphic("degree sequences differ")
+    try:
+        proved = find_isomorphism(g1, g2, budget=g1.n * g1.n)
+    except SearchBudgetExceeded:
+        proved = None
+    if proved is not None:
+        return CertificatesEqual(proved)
     unmatched: dict[str, deque[int]] = {}
     for v1, sig in enumerate(_signatures(g1)):
         unmatched.setdefault(sig, deque()).append(v1)

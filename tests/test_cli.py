@@ -16,8 +16,8 @@ from rsvp.cli import main
 from rsvp.formats import MAX_VERTICES, parse_dimacs, parse_edge_list, to_dimacs, to_edge_list
 from rsvp.generators import (cycle, graph_from_spec, paley, path, random_gnm, rook, shrikhande,
                               worked_example)
-from rsvp.graphs import Graph, verify_mapping
-from rsvp.signature import certificate, rsvp_compare
+from rsvp.graphs import Graph
+from rsvp.signature import certificate
 
 
 @pytest.fixture
@@ -250,13 +250,16 @@ def test_compare_equal_certificates_checks_the_mapping(graph_file, capsys):
 
 
 def test_compare_reports_whether_the_relabeled_mapping_verified(graph_file, capsys):
-    g, h = paley(13), graph_from_spec("permuted:42:paley:13")
-    a = graph_file("a.col", g)
-    b = graph_file("b.col", h, to_edge_list)
-    verified = verify_mapping(g, h, rsvp_compare(g, h).mapping)
-    assert main(["compare", a, b]) == 0
-    word = "verified" if verified else "unverified"
-    assert capsys.readouterr().out == f"certificates equal; candidate mapping {word}\n"
+    # the budgeted search proves these vertex-transitive pairs, on which the
+    # id-order candidate fails; on the Shrikhande graph it runs out of budget
+    for spec, word in [("paley:13", "verified"), ("rook:4", "verified"),
+                       ("cycle:9", "verified"), ("shrikhande", "unverified")]:
+        a = graph_file("a.col", graph_from_spec(spec))
+        b = graph_file("b.col", graph_from_spec(f"permuted:42:{spec}"), to_edge_list)
+        assert main(["compare", a, b]) == 0
+        assert capsys.readouterr().out == f"certificates equal; candidate mapping {word}\n"
+    assert main(["compare", "gen:paley:13", "gen:permuted:42:paley:13"]) == 0
+    assert capsys.readouterr().out == "certificates equal; candidate mapping verified\n"
 
 
 @pytest.mark.parametrize("args", [

@@ -9,9 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import atlas, graph_pairs, random_graph, shuffled_copy
-from rsvp.generators import complete, cycle, disjoint_union, path, rook, shrikhande
+from rsvp.generators import complete, cycle, disjoint_union, path, random_regular, rook, shrikhande
 from rsvp.graphs import Graph, Permutation, permute, verify_mapping
-from rsvp.oracle import find_isomorphism
+from rsvp.oracle import SearchBudgetExceeded, find_isomorphism
 from rsvp.refinement import WLVerdict, wl_compare
 from rsvp.signature import CertificatesEqual, NonIsomorphic, certificate, rsvp_compare
 
@@ -46,6 +46,34 @@ def test_long_paths_do_not_exhaust_the_stack():
     mapping = find_isomorphism(g, h)
     assert mapping is not None
     assert verify_mapping(g, h, mapping)
+
+
+def wl_uniform_twins() -> tuple[Graph, Graph]:
+    # 3-regular, so refinement leaves one class; the unbounded search charges
+    # about 40k candidate checks on this pair
+    g = random_regular(28, 3, 1)
+    return g, permute(g, Permutation.random(g.n, random.Random(1)))
+
+
+def test_budget_runs_out_on_a_wl_uniform_pair():
+    g, h = wl_uniform_twins()
+    with pytest.raises(SearchBudgetExceeded):
+        find_isomorphism(g, h, budget=g.n * g.n)
+
+
+def test_a_budget_that_suffices_finds_the_unbounded_mapping():
+    g, h = wl_uniform_twins()
+    mapping = find_isomorphism(g, h)
+    assert mapping is not None
+    assert find_isomorphism(g, h, budget=10**6) == mapping
+
+
+def test_budgeted_search_never_maps_the_srg_pair():
+    try:
+        found = find_isomorphism(shrikhande(), rook(4), budget=16 * 16)
+    except SearchBudgetExceeded:
+        found = None
+    assert found is None
 
 
 def test_connectivity_difference():

@@ -2,13 +2,15 @@ from __future__ import annotations
 
 import hashlib
 import random
+from contextlib import contextmanager
 from fractions import Fraction
+from itertools import combinations
 from math import gcd
 
 import pytest
 from hypothesis import given, settings
 
-from conftest import graph_pairs, random_graph, shuffled_copy, small_graphs
+from conftest import atlas, graph_pairs, random_graph, shuffled_copy, small_graphs
 from rsvp.distances import distance_matrix
 from rsvp.generators import (
     complete,
@@ -22,6 +24,7 @@ from rsvp.generators import (
     worked_example,
 )
 from rsvp.graphs import Graph, Permutation, permute, verify_mapping
+from rsvp.oracle import SearchBudgetExceeded
 from rsvp.reachability import Group, aggregate_hp
 from rsvp.signature import (
     CertificatesEqual,
@@ -292,13 +295,51 @@ def sort_and_zip_compare(g1: Graph, g2: Graph):
     return CertificatesEqual, Permutation(tuple(mapping))
 
 
+@contextmanager
+def search_off():
+    """rsvp_compare with its search out of budget at once, so every verdict
+    comes from the certificate path."""
+    def out_of_budget(g1, g2, budget=None):
+        raise SearchBudgetExceeded("forced off")
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr("rsvp.signature.find_isomorphism", out_of_budget)
+        yield
+
+
 @settings(max_examples=200, deadline=None)
 @given(graph_pairs())
 def test_streamed_compare_matches_sort_and_zip(pair):
     g, h = pair
-    verdict = rsvp_compare(g, h)
+    with search_off():
+        verdict = rsvp_compare(g, h)
     mapping = verdict.mapping if isinstance(verdict, CertificatesEqual) else None
     assert (type(verdict), mapping) == sort_and_zip_compare(g, h)
+
+
+@settings(max_examples=200, deadline=None)
+@given(graph_pairs())
+def test_compare_with_the_search_keeps_verdicts_and_proves_its_mappings(pair):
+    g, h = pair
+    verdict = rsvp_compare(g, h)
+    expected_type, expected_mapping = sort_and_zip_compare(g, h)
+    assert type(verdict) is expected_type
+    if isinstance(verdict, NonIsomorphic):
+        with search_off():
+            assert verdict.reason == rsvp_compare(g, h).reason
+    elif verdict.mapping != expected_mapping:
+        assert verify_mapping(g, h, verdict.mapping)
+
+
+def test_search_on_and_off_agree_on_every_atlas_pair():
+    # the search proves no atlas pair isomorphic and never decides
+    # NonIsomorphic, so each verdict is the certificates', reason and all
+    pairs = [(g, h) for n in range(7) for g, h in combinations(atlas(n), 2) if g.m == h.m]
+    with search_off():
+        expected = [rsvp_compare(g, h) for g, h in pairs]
+    assert [rsvp_compare(g, h) for g, h in pairs] == expected
+    # some pairs pass every gate, so the search ran on them
+    assert NonIsomorphic("certificates differ") in expected
 
 
 def count_traversals(monkeypatch) -> list[int]:
@@ -317,6 +358,15 @@ def test_compare_stops_at_the_first_unmatched_signature(monkeypatch):
     assert rsvp_compare(shrikhande(), rook(4)) == NonIsomorphic("certificates differ")
     # all 16 of the Shrikhande graph's signatures, then the rook graph's first
     assert len(calls) <= 17
+
+
+def test_a_proved_pair_computes_no_signature(monkeypatch):
+    calls = count_traversals(monkeypatch)
+    g, h = paley(13), graph_from_spec("permuted:42:paley:13")
+    verdict = rsvp_compare(g, h)
+    assert isinstance(verdict, CertificatesEqual)
+    assert verify_mapping(g, h, verdict.mapping)
+    assert calls == []
 
 
 def test_degree_sequence_gate_computes_no_signature(monkeypatch):
