@@ -66,7 +66,10 @@ class ReportRow:
 def resolve_graph_ref(ref: str) -> Graph:
     """The graph of a ``gen:`` spec, of ``-`` (stdin) or of a graph file
     (format sniffed). Reader warnings go to stderr and a bad spec or file
-    raises :class:`ParseError`, each led by ``ref``."""
+    raises :class:`ParseError`, each led by ``ref``; an empty ``ref``, which
+    names no graph, raises one too."""
+    if not ref:
+        raise ParseError("empty graph reference")
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         try:
@@ -91,19 +94,21 @@ def load_manifest(path: str | Path) -> list[ManifestRow]:
                 raise ValueError(f"manifest is missing column {column!r}")
         rows = []
         for record in reader:
+            name = (record["name"] or "").strip()
             for column in ("name", "graph_a", "graph_b"):
-                if record[column] is None:
-                    raise ValueError(f"manifest line {reader.line_num}, row {record['name']!r}: "
+                # a blank name is as good as none: the table would print an unnamed row
+                if record[column] is None or (column == "name" and not name):
+                    raise ValueError(f"manifest line {reader.line_num}, row {name!r}: "
                                      f"missing {column!r} cell")
             expected = (record["expected"] or "unknown").strip() or "unknown"
             if expected not in EXPECTED_LABELS:
                 raise ValueError(
-                    f"row {record['name']!r}: expected label {expected!r} "
+                    f"row {name!r}: expected label {expected!r} "
                     f"not in {EXPECTED_LABELS}"
                 )
             rows.append(
                 ManifestRow(
-                    name=record["name"].strip(),
+                    name=name,
                     graph_a=record["graph_a"].strip(),
                     graph_b=record["graph_b"].strip(),
                     expected=expected,

@@ -14,13 +14,13 @@ as ``gen:rook:4``; a file whose name starts with ``gen:`` is given as
 ``./gen:...``; ``gen`` reads ``gen:<family>:<params>`` through the same
 loader. Reader warnings and errors name the graph they came from.
 Equal certificates prove nothing by themselves, so ``compare`` always says
-whether its mapping verified. It prints ``verified`` whenever its exact
-search, budgeted at n * n candidate checks, proves the pair isomorphic.
-Otherwise the mapping pairs equal signatures in id order, and ``unverified``
-means that pairing failed too: the search ran out of budget, as on relabeled
-``paley:29``, ``paley:101`` or ``shrikhande``, or the certificates tie on a
-non-isomorphic pair. ``unverified`` is not a verdict; ``--method oracle``
-decides both ways.
+whether a mapping verified. It prints ``verified`` whenever its exact search,
+budgeted at n * n candidate checks, proves the pair isomorphic, first from
+the refinement classes and, for equal certificates, again from the signature
+classes. ``unverified`` means neither run proved a mapping: the budget ran
+out, as on relabeled ``paley:29``, ``paley:101`` or ``shrikhande``, or the
+certificates tie on a non-isomorphic pair. ``unverified`` is not a verdict;
+``--method oracle`` decides both ways.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ import sys
 from .bench import (builtin_manifest, format_csv, format_table, load_manifest,
                     resolve_graph_ref, run_bench, summary_line)
 from .formats import ParseError, to_dimacs, to_edge_list
-from .graphs import verify_mapping
 from .oracle import ORACLE_SIZE_LIMIT, find_isomorphism
 from .refinement import WLVerdict, wl_compare
 from .signature import CertificatesEqual, certificate, rsvp_compare
@@ -62,7 +61,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
         if not isinstance(verdict, CertificatesEqual):
             print(f"non-isomorphic ({verdict.reason})")
             return 1
-        verified = verify_mapping(a, b, verdict.mapping)
+        verified = verdict.mapping is not None
         print(f"certificates equal; candidate mapping {'verified' if verified else 'unverified'}")
         return 0
 

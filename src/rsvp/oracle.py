@@ -9,7 +9,7 @@ With a budget it runs at any size and gives up instead, which is how
 from __future__ import annotations
 
 from collections import Counter, deque
-from collections.abc import Iterator
+from collections.abc import Iterator, Sequence
 
 from .graphs import Graph, Permutation, disjoint_union, verify_mapping
 from .refinement import color_refinement
@@ -42,15 +42,18 @@ def _bfs_order(g: Graph) -> list[int]:
     return order
 
 
-def find_isomorphism(g1: Graph, g2: Graph, budget: int | None = None) -> Permutation | None:
+def find_isomorphism(g1: Graph, g2: Graph, budget: int | None = None,
+                     colors: Sequence = ()) -> Permutation | None:
     """Exact: a verified isomorphism if one exists, else None.
 
     Backtracking over vertex assignments with adjacency consistency pruning,
     seeded by joint color refinement classes; candidate order is ascending
-    ids, so failures reproduce exactly. With a ``budget``, every candidate
-    stream opened for a vertex charges its class size up front, and the
-    search raises SearchBudgetExceeded when it opens a stream after the
-    charges have passed the budget.
+    ids, so failures reproduce exactly. ``colors`` (2n sortable labels, g1's
+    first) seeds the refinement; None then means no isomorphism respects
+    ``colors``, which proves non-isomorphism only when the labels are
+    isomorphism-invariant. With a ``budget``, each candidate stream opened
+    for a vertex charges its class size up front, and opening one after the
+    charges have passed the budget raises SearchBudgetExceeded.
     """
     # equal degree sequences imply equal vertex and edge counts
     if g1.degree_sequence() != g2.degree_sequence():
@@ -59,7 +62,7 @@ def find_isomorphism(g1: Graph, g2: Graph, budget: int | None = None) -> Permuta
     if n == 0:
         return Permutation(())
 
-    colors = color_refinement(disjoint_union(g1, g2)).colors
+    colors = color_refinement(disjoint_union(g1, g2), colors).colors
     c1, c2 = colors[:n], colors[n:]
     if Counter(c1) != Counter(c2):
         return None

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
 
@@ -28,9 +29,9 @@ def _refine_once(g: Graph, colors: list[int]) -> list[int]:
     return [rank[key] for key in keys]
 
 
-def color_refinement(g: Graph) -> Coloring:
-    """Refine from a uniform start until no class splits (at most n rounds)."""
-    colors = [0] * g.n
+def color_refinement(g: Graph, start: Sequence = ()) -> Coloring:
+    """Refine ``start``'s sortable vertex labels, else a uniform start, until no class splits."""
+    colors = list(start) or [0] * g.n
     rounds = 0
     while g.n:
         new = _refine_once(g, colors)

@@ -16,12 +16,12 @@ target is a neighbor of it, so two parents are at distance 1 if adjacent and 2
 A certificate is the sorted multiset of vertex signatures. Relabeling a graph
 permutes the multiset, so certificates of isomorphic graphs are equal; the
 converse does not hold, which is why an equal-certificates verdict carries a
-mapping that is an isomorphism only when verified.
+mapping only when a budgeted exact search has proved one.
 """
 
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
@@ -187,14 +187,20 @@ class NonIsomorphic:
 
 @dataclass(frozen=True)
 class CertificatesEqual:
-    """Signature multisets matched. ``mapping`` is a verified isomorphism when
-    the budgeted search found one; otherwise it pairs equal-signature vertices
-    in id order and is only a candidate until verify_mapping confirms it."""
+    """Signature multisets matched. ``mapping`` is an isomorphism that a
+    budgeted search proved, or None when neither search found one."""
 
-    mapping: Permutation
+    mapping: Permutation | None
 
 
 Verdict = NonIsomorphic | CertificatesEqual
+
+
+def _budgeted_search(g1: Graph, g2: Graph, colors: Sequence[int] = ()) -> Permutation | None:
+    try:
+        return find_isomorphism(g1, g2, budget=g1.n * g1.n, colors=colors)
+    except SearchBudgetExceeded:
+        return None
 
 
 def rsvp_compare(g1: Graph, g2: Graph) -> Verdict:
@@ -203,13 +209,13 @@ def rsvp_compare(g1: Graph, g2: Graph) -> Verdict:
     Differing vertex counts, edge counts or degree sequences short-circuit
     before any signature is computed. Next, an exact search budgeted at
     n * n candidate checks looks for an isomorphism; one it finds settles
-    CertificatesEqual with no signature computed. The search never decides
-    NonIsomorphic. Otherwise g2's signatures are computed one vertex at a
-    time and each is matched to the lowest unmatched g1 vertex with an equal
-    signature; the first one with no match left means the graphs are
-    non-isomorphic, and the rest are never computed. A full matching yields
-    CertificatesEqual with the induced candidate mapping, which pairs the
-    i-th smallest vertices of each signature class.
+    CertificatesEqual with no signature computed. Otherwise g2's signatures
+    are computed one vertex at a time and counted off against g1's classes;
+    the first one with no count left means the graphs are non-isomorphic,
+    and the rest are never computed. Equal certificates yield
+    CertificatesEqual with the mapping of a second search, equally budgeted
+    and seeded with the signature classes, or None. Neither search ever
+    decides NonIsomorphic.
     """
     if g1.n != g2.n:
         return NonIsomorphic("vertex counts differ")
@@ -217,20 +223,16 @@ def rsvp_compare(g1: Graph, g2: Graph) -> Verdict:
         return NonIsomorphic("edge counts differ")
     if g1.degree_sequence() != g2.degree_sequence():
         return NonIsomorphic("degree sequences differ")
-    try:
-        proved = find_isomorphism(g1, g2, budget=g1.n * g1.n)
-    except SearchBudgetExceeded:
-        proved = None
+    proved = _budgeted_search(g1, g2)
     if proved is not None:
         return CertificatesEqual(proved)
-    unmatched: dict[str, deque[int]] = {}
-    for v1, sig in enumerate(_signatures(g1)):
-        unmatched.setdefault(sig, deque()).append(v1)
-    mapping = [0] * g1.n
-    for v2, sig in enumerate(_signatures(g2)):
-        vertices = unmatched.get(sig)
-        if not vertices:
+    ids: dict[str, int] = {}  # signature line -> class id
+    colors = [ids.setdefault(sig, len(ids)) for sig in _signatures(g1)]
+    unmatched = Counter(colors)
+    for sig in _signatures(g2):
+        i = ids.get(sig, -1)
+        if not unmatched[i]:
             return NonIsomorphic("certificates differ")
-        mapping[vertices.popleft()] = v2
-    return CertificatesEqual(Permutation(tuple(mapping)))
-
+        unmatched[i] -= 1
+        colors.append(i)  # g2's labels follow g1's
+    return CertificatesEqual(_budgeted_search(g1, g2, colors))

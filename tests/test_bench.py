@@ -100,6 +100,27 @@ def test_load_manifest_rejects_bad_label(tmp_path):
         load_manifest(manifest)
 
 
+def test_load_manifest_rejects_a_blank_name(tmp_path):
+    manifest = tmp_path / "cases.csv"
+    manifest.write_text(
+        "name,graph_a,graph_b,expected\n  ,gen:cycle:6,gen:cycle:6,iso\n", encoding="utf-8"
+    )
+    with pytest.raises(ValueError) as raised:
+        load_manifest(manifest)
+    assert str(raised.value) == "manifest line 2, row '': missing 'name' cell"
+
+
+def test_a_blank_graph_cell_is_a_named_row_error(tmp_path):
+    manifest = tmp_path / "cases.csv"
+    manifest.write_text(
+        "name,graph_a,graph_b,expected\nblank,,gen:cycle:6,unknown\n", encoding="utf-8"
+    )
+    [row] = load_manifest(manifest)
+    assert row.graph_a == ""
+    report = run_row(row)
+    assert report.error == "empty graph reference" and report.rsvp == ""
+
+
 def test_builtin_manifest_reproduces_the_verdict_table():
     reports = run_bench(builtin_manifest())
     by_name = {r.name: r for r in reports}

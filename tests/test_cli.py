@@ -148,6 +148,12 @@ def test_certify_missing_file(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_certify_rejects_an_empty_graph_reference(capsys):
+    # not a read of the current directory
+    assert main(["certify", ""]) == 2
+    assert capsys.readouterr().err == "error: empty graph reference\n"
+
+
 def test_certify_malformed_file(tmp_path, capsys):
     bad = tmp_path / "bad.col"
     bad.write_text("p edge 2 1\ne 1 1\n", encoding="utf-8")
@@ -250,10 +256,16 @@ def test_compare_equal_certificates_checks_the_mapping(graph_file, capsys):
 
 
 def test_compare_reports_whether_the_relabeled_mapping_verified(graph_file, capsys):
-    # the budgeted search proves these vertex-transitive pairs, on which the
-    # id-order candidate fails; on the Shrikhande graph it runs out of budget
+    # the first search proves the vertex-transitive pairs; it runs out of
+    # budget on the disjoint cycles and the 3-regular graph, which the search
+    # seeded with the signature classes then proves; on the Shrikhande graph
+    # both run out, so no mapping is proved
     for spec, word in [("paley:13", "verified"), ("rook:4", "verified"),
-                       ("cycle:9", "verified"), ("shrikhande", "unverified")]:
+                       ("cycle:9", "verified"),
+                       ("disjoint_union:cycle:3:cycle:4", "verified"),
+                       ("disjoint_union:complete:3:cycle:5", "verified"),
+                       ("random_regular:60:3:2", "verified"),
+                       ("shrikhande", "unverified")]:
         a = graph_file("a.col", graph_from_spec(spec))
         b = graph_file("b.col", graph_from_spec(f"permuted:42:{spec}"), to_edge_list)
         assert main(["compare", a, b]) == 0

@@ -24,7 +24,7 @@ from rsvp.generators import (
     worked_example,
 )
 from rsvp.graphs import Graph, Permutation, permute, verify_mapping
-from rsvp.oracle import SearchBudgetExceeded
+from rsvp.oracle import SearchBudgetExceeded, find_isomorphism
 from rsvp.reachability import Group, aggregate_hp
 from rsvp.signature import (
     CertificatesEqual,
@@ -279,10 +279,15 @@ def test_rsvp_compare_srg_pair():
 
 
 def sort_and_zip_compare(g1: Graph, g2: Graph):
-    """Reference compare: every signature of both graphs, sorted with its
-    vertex and zipped; returns the verdict class and the mapping."""
-    if (g1.n, g1.m) != (g2.n, g2.m):
-        return NonIsomorphic, None
+    """Reference compare: rsvp_compare's gates, then every signature of both
+    graphs sorted with its vertex and zipped. Returns the verdict with the
+    mapping left out, and the zipped id-order pairing (None when the
+    signatures differ), which is an isomorphism only if it verifies."""
+    for reason, size in [("vertex counts differ", lambda g: g.n),
+                         ("edge counts differ", lambda g: g.m),
+                         ("degree sequences differ", Graph.degree_sequence)]:
+        if size(g1) != size(g2):
+            return NonIsomorphic(reason), None
     by_sig1, by_sig2 = (
         sorted((vertex_signature(g, v, distance_matrix(g)), v) for v in range(g.n))
         for g in (g1, g2)
@@ -290,16 +295,16 @@ def sort_and_zip_compare(g1: Graph, g2: Graph):
     mapping = [0] * g1.n
     for (sig1, v1), (sig2, v2) in zip(by_sig1, by_sig2):
         if sig1 != sig2:
-            return NonIsomorphic, None
+            return NonIsomorphic("certificates differ"), None
         mapping[v1] = v2
-    return CertificatesEqual, Permutation(tuple(mapping))
+    return CertificatesEqual(None), Permutation(tuple(mapping))
 
 
 @contextmanager
 def search_off():
-    """rsvp_compare with its search out of budget at once, so every verdict
-    comes from the certificate path."""
-    def out_of_budget(g1, g2, budget=None):
+    """rsvp_compare with both of its searches out of budget at once, so every
+    verdict comes from the certificates and carries no mapping."""
+    def out_of_budget(g1, g2, budget=None, colors=()):
         raise SearchBudgetExceeded("forced off")
 
     with pytest.MonkeyPatch.context() as patch:
@@ -313,8 +318,10 @@ def test_streamed_compare_matches_sort_and_zip(pair):
     g, h = pair
     with search_off():
         verdict = rsvp_compare(g, h)
-    mapping = verdict.mapping if isinstance(verdict, CertificatesEqual) else None
-    assert (type(verdict), mapping) == sort_and_zip_compare(g, h)
+    expected, _ = sort_and_zip_compare(g, h)
+    assert type(verdict) is type(expected)
+    # the reason of a NonIsomorphic verdict, and no mapping for equal ones
+    assert verdict == expected
 
 
 @settings(max_examples=200, deadline=None)
@@ -322,13 +329,23 @@ def test_streamed_compare_matches_sort_and_zip(pair):
 def test_compare_with_the_search_keeps_verdicts_and_proves_its_mappings(pair):
     g, h = pair
     verdict = rsvp_compare(g, h)
-    expected_type, expected_mapping = sort_and_zip_compare(g, h)
-    assert type(verdict) is expected_type
+    expected, _ = sort_and_zip_compare(g, h)
+    assert type(verdict) is type(expected)
     if isinstance(verdict, NonIsomorphic):
-        with search_off():
-            assert verdict.reason == rsvp_compare(g, h).reason
-    elif verdict.mapping != expected_mapping:
-        assert verify_mapping(g, h, verdict.mapping)
+        assert verdict.reason == expected.reason
+    else:
+        assert verdict.mapping is None or verify_mapping(g, h, verdict.mapping)
+
+
+@settings(max_examples=200, deadline=None)
+@given(graph_pairs())
+def test_compare_proves_every_pair_whose_id_order_pairing_verifies(pair):
+    # the pairing respects the signature classes, so the search seeded with
+    # them has an isomorphism to find
+    g, h = pair
+    _, zipped = sort_and_zip_compare(g, h)
+    if zipped is not None and verify_mapping(g, h, zipped):
+        assert rsvp_compare(g, h).mapping is not None
 
 
 def test_search_on_and_off_agree_on_every_atlas_pair():
@@ -367,6 +384,19 @@ def test_a_proved_pair_computes_no_signature(monkeypatch):
     assert isinstance(verdict, CertificatesEqual)
     assert verify_mapping(g, h, verdict.mapping)
     assert calls == []
+
+
+def test_signature_classes_seed_a_proof_the_first_search_misses(monkeypatch):
+    # refinement leaves a 3-regular graph one class, so the first search
+    # runs out of budget; seeded with the signature classes it succeeds
+    g = graph_from_spec("random_regular:60:3:2")
+    h = graph_from_spec("permuted:42:random_regular:60:3:2")
+    with pytest.raises(SearchBudgetExceeded):
+        find_isomorphism(g, h, budget=g.n * g.n)
+    calls = count_traversals(monkeypatch)
+    verdict = rsvp_compare(g, h)
+    assert len(calls) == 2 * g.n
+    assert verify_mapping(g, h, verdict.mapping)
 
 
 def test_degree_sequence_gate_computes_no_signature(monkeypatch):
