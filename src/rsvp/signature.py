@@ -25,7 +25,7 @@ from collections import Counter
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations, takewhile
 from math import comb, gcd, isqrt, lcm
 
 # distance_matrix is unused here; it stays bound because perfbench's
@@ -187,8 +187,8 @@ class NonIsomorphic:
 
 @dataclass(frozen=True)
 class CertificatesEqual:
-    """Signature multisets matched. ``mapping`` is an isomorphism that a
-    budgeted search proved, or None when neither search found one."""
+    """Equal certificates: ``mapping`` is an isomorphism a budgeted search
+    proved, or None when neither found one and the signatures all matched."""
 
     mapping: Permutation | None
 
@@ -197,6 +197,7 @@ Verdict = NonIsomorphic | CertificatesEqual
 
 
 def _budgeted_search(g1: Graph, g2: Graph, colors: Sequence[int] = ()) -> Permutation | None:
+    """``find_isomorphism`` at n * n candidate checks; a None proves nothing."""
     try:
         return find_isomorphism(g1, g2, budget=g1.n * g1.n, colors=colors)
     except SearchBudgetExceeded:
@@ -210,12 +211,12 @@ def rsvp_compare(g1: Graph, g2: Graph) -> Verdict:
     before any signature is computed. Next, an exact search budgeted at
     n * n candidate checks looks for an isomorphism; one it finds settles
     CertificatesEqual with no signature computed. Otherwise g2's signatures
-    are computed one vertex at a time and counted off against g1's classes;
-    the first one with no count left means the graphs are non-isomorphic,
-    and the rest are never computed. Equal certificates yield
-    CertificatesEqual with the mapping of a second search, equally budgeted
-    and seeded with the signature classes, or None. Neither search ever
-    decides NonIsomorphic.
+    are computed until one, at w, equals g1's vertex-0 signature (none:
+    NonIsomorphic), and a second, equally budgeted search tries only the
+    mappings that send 0 to w. Failing that, both multisets are counted off,
+    each signature computed once, stopping at the first g2 line with no
+    count left (NonIsomorphic); equal ones yield CertificatesEqual(None).
+    Neither search ever decides NonIsomorphic.
     """
     if g1.n != g2.n:
         return NonIsomorphic("vertex counts differ")
@@ -226,13 +227,20 @@ def rsvp_compare(g1: Graph, g2: Graph) -> Verdict:
     proved = _budgeted_search(g1, g2)
     if proved is not None:
         return CertificatesEqual(proved)
-    ids: dict[str, int] = {}  # signature line -> class id
-    colors = [ids.setdefault(sig, len(ids)) for sig in _signatures(g1)]
-    unmatched = Counter(colors)
-    for sig in _signatures(g2):
-        i = ids.get(sig, -1)
-        if not unmatched[i]:
+    lines1, lines2 = _signatures(g1), _signatures(g2)
+    anchor = next(lines1)
+    # takewhile consumes g2's first line equal to the anchor; the two cancel
+    before = list(takewhile(anchor.__ne__, lines2))
+    if len(before) == g1.n:
+        return NonIsomorphic("certificates differ")
+    colors = [0] * (2 * g1.n)
+    colors[0] = colors[g1.n + len(before)] = 1
+    proved = _budgeted_search(g1, g2, colors)
+    if proved is not None:
+        return CertificatesEqual(proved)
+    unmatched = Counter(lines1)
+    for sig in chain(before, lines2):
+        if not unmatched[sig]:
             return NonIsomorphic("certificates differ")
-        unmatched[i] -= 1
-        colors.append(i)  # g2's labels follow g1's
-    return CertificatesEqual(_budgeted_search(g1, g2, colors))
+        unmatched[sig] -= 1
+    return CertificatesEqual(None)

@@ -256,16 +256,16 @@ def test_compare_equal_certificates_checks_the_mapping(graph_file, capsys):
 
 
 def test_compare_reports_whether_the_relabeled_mapping_verified(graph_file, capsys):
-    # the first search proves the vertex-transitive pairs; it runs out of
-    # budget on the disjoint cycles and the 3-regular graph, which the search
-    # seeded with the signature classes then proves; on the Shrikhande graph
-    # both run out, so no mapping is proved
+    # the first search proves the small vertex-transitive pairs; it runs out
+    # of budget on the disjoint cycles, the 3-regular graph and the
+    # Shrikhande graph, which the search anchored on one matched signature
+    # then proves; on paley:29 both run out, so no mapping is proved
     for spec, word in [("paley:13", "verified"), ("rook:4", "verified"),
                        ("cycle:9", "verified"),
                        ("disjoint_union:cycle:3:cycle:4", "verified"),
                        ("disjoint_union:complete:3:cycle:5", "verified"),
                        ("random_regular:60:3:2", "verified"),
-                       ("shrikhande", "unverified")]:
+                       ("shrikhande", "verified"), ("paley:29", "unverified")]:
         a = graph_file("a.col", graph_from_spec(spec))
         b = graph_file("b.col", graph_from_spec(f"permuted:42:{spec}"), to_edge_list)
         assert main(["compare", a, b]) == 0

@@ -340,8 +340,8 @@ def test_compare_with_the_search_keeps_verdicts_and_proves_its_mappings(pair):
 @settings(max_examples=200, deadline=None)
 @given(graph_pairs())
 def test_compare_proves_every_pair_whose_id_order_pairing_verifies(pair):
-    # the pairing respects the signature classes, so the search seeded with
-    # them has an isomorphism to find
+    # the pairing is an isomorphism, and the search anchored on one matched
+    # signature finds one within budget on every pair these graphs give
     g, h = pair
     _, zipped = sort_and_zip_compare(g, h)
     if zipped is not None and verify_mapping(g, h, zipped):
@@ -386,17 +386,39 @@ def test_a_proved_pair_computes_no_signature(monkeypatch):
     assert calls == []
 
 
-def test_signature_classes_seed_a_proof_the_first_search_misses(monkeypatch):
+def test_one_matched_signature_anchors_a_proof_the_first_search_misses(monkeypatch):
     # refinement leaves a 3-regular graph one class, so the first search
-    # runs out of budget; seeded with the signature classes it succeeds
+    # runs out of budget; with g's vertex 0 and its first equal-signature
+    # vertex of h individualised, the second search succeeds before most
+    # signatures are computed
     g = graph_from_spec("random_regular:60:3:2")
     h = graph_from_spec("permuted:42:random_regular:60:3:2")
     with pytest.raises(SearchBudgetExceeded):
         find_isomorphism(g, h, budget=g.n * g.n)
     calls = count_traversals(monkeypatch)
     verdict = rsvp_compare(g, h)
-    assert len(calls) == 2 * g.n
+    assert len(calls) <= g.n + 1
     assert verify_mapping(g, h, verdict.mapping)
+
+
+def test_a_failed_anchor_falls_back_without_computing_a_signature_twice(monkeypatch):
+    # on a relabeled paley:29 both searches run out, so the multisets are
+    # counted off in full: each of the 2n signatures exactly once
+    g = paley(29)
+    h = graph_from_spec("permuted:42:paley:29")
+    calls = count_traversals(monkeypatch)
+    assert rsvp_compare(g, h) == CertificatesEqual(None)
+    assert len(calls) == 2 * g.n
+
+
+def test_every_relabeled_atlas_twin_gets_a_proved_mapping():
+    rng = random.Random(0)
+    twins = [(g, permute(g, Permutation.random(g.n, rng)))
+             for n in range(1, 8) for g in atlas(n)]
+    assert len(twins) == 1252
+    for g, h in twins:
+        verdict = rsvp_compare(g, h)
+        assert verdict.mapping is not None and verify_mapping(g, h, verdict.mapping)
 
 
 def test_degree_sequence_gate_computes_no_signature(monkeypatch):
