@@ -16,7 +16,8 @@ loader. Reader warnings and errors name the graph they came from.
 Equal certificates prove nothing by themselves, so ``compare`` always says
 whether a mapping verified. It prints ``verified`` whenever its exact search,
 budgeted at n * n candidate checks, proves the pair isomorphic, first from
-the refinement classes, then anchored on two vertices with equal signatures.
+refinement classes started at the vertices' distance profiles, then
+anchored on two vertices with equal signatures.
 ``unverified`` means neither proved a mapping: the budget ran out, as on
 relabeled ``paley:29`` or ``paley:101``, or the certificates tie on a
 non-isomorphic pair. Neither run decides non-isomorphic; ``unverified`` is

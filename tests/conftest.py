@@ -70,6 +70,14 @@ def mixed_family_graph(rng: random.Random, max_n: int = 24) -> Graph:
     return rook(4) if rng.random() < 0.5 else shrikhande()
 
 
+def wl_uniform_twins() -> tuple[Graph, Graph]:
+    """A relabeled pair of 3-regular graphs: refinement from a uniform start
+    leaves one class, and the search then charged about 40k candidate
+    checks; from the distance profiles every class is a singleton (28)."""
+    g = random_regular(28, 3, 1)
+    return g, permute(g, Permutation.random(g.n, random.Random(1)))
+
+
 @st.composite
 def small_graphs(draw):
     """Graphs on up to 16 vertices: edges confined to two blocks (so some are

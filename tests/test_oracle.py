@@ -5,13 +5,14 @@ from itertools import combinations
 
 import networkx as nx
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import atlas, graph_pairs, random_graph, shuffled_copy
-from rsvp.generators import complete, cycle, disjoint_union, path, random_regular, rook, shrikhande
+from conftest import atlas, graph_pairs, random_graph, shuffled_copy, small_graphs, wl_uniform_twins
+from rsvp.distances import bfs_distances
+from rsvp.generators import complete, cycle, disjoint_union, paley, path, rook, shrikhande
 from rsvp.graphs import Graph, Permutation, permute, verify_mapping
-from rsvp.oracle import SearchBudgetExceeded, find_isomorphism
+from rsvp.oracle import _PROFILE_RADIUS, SearchBudgetExceeded, _distance_profiles, find_isomorphism
 from rsvp.refinement import WLVerdict, wl_compare
 from rsvp.signature import CertificatesEqual, NonIsomorphic, certificate, rsvp_compare
 
@@ -48,15 +49,11 @@ def test_long_paths_do_not_exhaust_the_stack():
     assert verify_mapping(g, h, mapping)
 
 
-def wl_uniform_twins() -> tuple[Graph, Graph]:
-    # 3-regular, so refinement leaves one class; the unbounded search charges
-    # about 40k candidate checks on this pair
-    g = random_regular(28, 3, 1)
-    return g, permute(g, Permutation.random(g.n, random.Random(1)))
-
-
 def test_budget_runs_out_on_a_wl_uniform_pair():
-    g, h = wl_uniform_twins()
+    # paley:29 is vertex-transitive, so its distance profiles are uniform
+    # too and refinement leaves one class
+    g = paley(29)
+    h = permute(g, Permutation.random(g.n, random.Random(1)))
     with pytest.raises(SearchBudgetExceeded):
         find_isomorphism(g, h, budget=g.n * g.n)
 
@@ -66,6 +63,35 @@ def test_a_budget_that_suffices_finds_the_unbounded_mapping():
     mapping = find_isomorphism(g, h)
     assert mapping is not None
     assert find_isomorphism(g, h, budget=10**6) == mapping
+
+
+def sphere_sizes(g: Graph, v: int, radius: int) -> tuple[int, ...]:
+    """|S_1(v)|, ..., |S_radius(v)| from one BFS, empty spheres dropped; only
+    the spheres past v's eccentricity are empty."""
+    dist = bfs_distances(g, v)
+    return tuple(size for size in map(dist.count, range(1, radius + 1)) if size)
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_graphs(), st.randoms(use_true_random=False))
+@example(Graph(7, [(0, 1), (1, 2), (3, 4)]), random.Random(0))
+def test_distance_profiles_are_truncated_sphere_sizes_and_equivariant(g, rng):
+    profiles = _distance_profiles(g)
+    assert profiles == [sphere_sizes(g, v, _PROFILE_RADIUS) for v in range(g.n)]
+    p = Permutation.random(g.n, rng)
+    relabeled = _distance_profiles(permute(g, p))
+    assert [relabeled[p[v]] for v in range(g.n)] == profiles
+
+
+def test_distance_profiles_stop_at_the_radius():
+    # path(4096) has eccentricities up to 4095; the profiles stop far short
+    assert max(map(len, _distance_profiles(path(4096)))) == _PROFILE_RADIUS
+
+
+def test_profiles_decide_a_cycle_against_two_before_any_candidate():
+    # both graphs are 2-regular, so a uniform start leaves one class and
+    # the search would backtrack; their distance-4 spheres differ in size
+    assert find_isomorphism(cycle(16), disjoint_union(cycle(8), cycle(8)), budget=0) is None
 
 
 def test_budgeted_search_never_maps_the_srg_pair():

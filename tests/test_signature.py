@@ -10,7 +10,7 @@ from math import gcd
 import pytest
 from hypothesis import given, settings
 
-from conftest import atlas, graph_pairs, random_graph, shuffled_copy, small_graphs
+from conftest import atlas, graph_pairs, random_graph, shuffled_copy, small_graphs, wl_uniform_twins
 from rsvp.distances import distance_matrix
 from rsvp.generators import (
     complete,
@@ -386,13 +386,28 @@ def test_a_proved_pair_computes_no_signature(monkeypatch):
     assert calls == []
 
 
+@pytest.mark.parametrize("twins", [
+    lambda: (graph_from_spec("random_regular:60:3:2"),
+             graph_from_spec("permuted:42:random_regular:60:3:2")),
+    wl_uniform_twins,
+], ids=["random_regular:60:3:2", "wl_uniform_twins"])
+def test_distance_profiles_prove_3_regular_twins_without_a_signature(monkeypatch, twins):
+    # a uniform start leaves a 3-regular graph one class; the distance
+    # profiles split these twins enough for the first search to prove them
+    g, h = twins()
+    calls = count_traversals(monkeypatch)
+    verdict = rsvp_compare(g, h)
+    assert calls == []
+    assert verify_mapping(g, h, verdict.mapping)
+
+
 def test_one_matched_signature_anchors_a_proof_the_first_search_misses(monkeypatch):
-    # refinement leaves a 3-regular graph one class, so the first search
-    # runs out of budget; with g's vertex 0 and its first equal-signature
-    # vertex of h individualised, the second search succeeds before most
-    # signatures are computed
-    g = graph_from_spec("random_regular:60:3:2")
-    h = graph_from_spec("permuted:42:random_regular:60:3:2")
+    # shrikhande is vertex-transitive, so its distance profiles are uniform
+    # and the first search runs out of budget; with g's vertex 0 and its
+    # first equal-signature vertex of h individualised, the second search
+    # succeeds before most signatures are computed
+    g = shrikhande()
+    h = graph_from_spec("permuted:42:shrikhande")
     with pytest.raises(SearchBudgetExceeded):
         find_isomorphism(g, h, budget=g.n * g.n)
     calls = count_traversals(monkeypatch)
