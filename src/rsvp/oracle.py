@@ -10,7 +10,7 @@ profile, so most regular graphs split before any candidate is tried.
 from __future__ import annotations
 
 from collections import Counter, deque
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterator
 
 from .graphs import Graph, Permutation, disjoint_union, verify_mapping
 from .refinement import color_refinement
@@ -52,38 +52,36 @@ def _distance_profiles(g: Graph) -> list[tuple[int, ...]]:
     """Sphere sizes |S_1(v)|, ..., |S_k(v)| of each v, k = min(radius, ecc v)."""
     balls = [1 << v for v in range(g.n)]
     profiles: list[list[int]] = [[] for _ in range(g.n)]
-    growing = range(g.n)
     for _ in range(_PROFILE_RADIUS):
         # grow every ball from the last round's; a ball that stopped growing
-        # already holds its vertex's whole component
+        # holds its vertex's whole component and never grows again
         last = balls[:]
-        kept = []
-        for v in growing:
+        for v in range(g.n):
             ball = last[v]
             for u in g.adjacency[v]:
                 ball |= last[u]
             if ball != last[v]:
                 profiles[v].append((ball ^ last[v]).bit_count())
                 balls[v] = ball
-                kept.append(v)
-        growing = kept
     return [tuple(p) for p in profiles]
 
 
 def find_isomorphism(g1: Graph, g2: Graph, budget: int | None = None,
-                     colors: Sequence = ()) -> Permutation | None:
+                     anchor: int | None = None) -> Permutation | None:
     """Exact: a verified isomorphism if one exists, else None.
 
     Backtracking over vertex assignments with adjacency consistency pruning,
     seeded by joint color refinement classes started from the (invariant)
     distance profiles; candidate order is ascending ids, so failures
-    reproduce exactly. ``colors`` (2n sortable labels, g1's first) is paired
-    with the profiles at the start; None then means no isomorphism respects
-    ``colors``, which proves non-isomorphism only when the labels are
-    isomorphism-invariant. With a ``budget``, each candidate stream opened
-    for a vertex charges its class size up front, and opening one after the
-    charges have passed the budget raises SearchBudgetExceeded.
+    reproduce exactly. ``anchor=w`` individualises g1's vertex 0 and g2's
+    vertex w on top of the profiles, so only mappings that send 0 to w are
+    tried; None from an anchored call proves nothing. With a ``budget``,
+    each candidate stream opened for a vertex charges its class size up
+    front, and opening one after the charges have passed the budget raises
+    SearchBudgetExceeded.
     """
+    if anchor is not None and anchor not in range(g2.n):
+        raise ValueError(f"anchor must be a vertex of g2, 0..n-1 with n = {g2.n}; got {anchor!r}")
     # equal degree sequences imply equal vertex and edge counts
     if g1.degree_sequence() != g2.degree_sequence():
         return None
@@ -91,8 +89,9 @@ def find_isomorphism(g1: Graph, g2: Graph, budget: int | None = None,
     if n == 0:
         return Permutation(())
 
-    profiles = _distance_profiles(g1) + _distance_profiles(g2)
-    start = list(zip(profiles, colors)) if colors else profiles
+    start: list = _distance_profiles(g1) + _distance_profiles(g2)
+    if anchor is not None:
+        start = [(p, i in (0, n + anchor)) for i, p in enumerate(start)]
     colors = color_refinement(disjoint_union(g1, g2), start).colors
     c1, c2 = colors[:n], colors[n:]
     if Counter(c1) != Counter(c2):

@@ -196,10 +196,10 @@ class CertificatesEqual:
 Verdict = NonIsomorphic | CertificatesEqual
 
 
-def _budgeted_search(g1: Graph, g2: Graph, colors: Sequence[int] = ()) -> Permutation | None:
+def _budgeted_search(g1: Graph, g2: Graph, anchor: int | None = None) -> Permutation | None:
     """``find_isomorphism`` at n * n candidate checks; a None proves nothing."""
     try:
-        return find_isomorphism(g1, g2, budget=g1.n * g1.n, colors=colors)
+        return find_isomorphism(g1, g2, budget=g1.n * g1.n, anchor=anchor)
     except SearchBudgetExceeded:
         return None
 
@@ -228,14 +228,12 @@ def rsvp_compare(g1: Graph, g2: Graph) -> Verdict:
     if proved is not None:
         return CertificatesEqual(proved)
     lines1, lines2 = _signatures(g1), _signatures(g2)
-    anchor = next(lines1)
-    # takewhile consumes g2's first line equal to the anchor; the two cancel
-    before = list(takewhile(anchor.__ne__, lines2))
+    first = next(lines1)
+    # takewhile consumes g2's first line equal to g1's first; the two cancel
+    before = list(takewhile(first.__ne__, lines2))
     if len(before) == g1.n:
         return NonIsomorphic("certificates differ")
-    colors = [0] * (2 * g1.n)
-    colors[0] = colors[g1.n + len(before)] = 1
-    proved = _budgeted_search(g1, g2, colors)
+    proved = _budgeted_search(g1, g2, anchor=len(before))
     if proved is not None:
         return CertificatesEqual(proved)
     unmatched = Counter(lines1)

@@ -65,6 +65,24 @@ def test_a_budget_that_suffices_finds_the_unbounded_mapping():
     assert find_isomorphism(g, h, budget=10**6) == mapping
 
 
+def test_an_anchor_outside_g2_is_refused():
+    g = shrikhande()
+    h = permute(g, Permutation.random(g.n, random.Random(42)))
+    for anchor in (-1, g.n):
+        with pytest.raises(ValueError, match="anchor"):
+            find_isomorphism(g, h, anchor=anchor)
+
+
+def test_an_unbudgeted_anchored_search_maps_vertex_0_to_the_anchor():
+    # shrikhande is vertex-transitive, so every anchor admits an isomorphism
+    g = shrikhande()
+    h = permute(g, Permutation.random(g.n, random.Random(42)))
+    for w in range(h.n):
+        mapping = find_isomorphism(g, h, anchor=w)
+        assert mapping is not None and mapping[0] == w
+        assert verify_mapping(g, h, mapping)
+
+
 def sphere_sizes(g: Graph, v: int, radius: int) -> tuple[int, ...]:
     """|S_1(v)|, ..., |S_radius(v)| from one BFS, empty spheres dropped; only
     the spheres past v's eccentricity are empty."""

@@ -304,7 +304,7 @@ def sort_and_zip_compare(g1: Graph, g2: Graph):
 def search_off():
     """rsvp_compare with both of its searches out of budget at once, so every
     verdict comes from the certificates and carries no mapping."""
-    def out_of_budget(g1, g2, budget=None, colors=()):
+    def out_of_budget(g1, g2, budget=None, anchor=None):
         raise SearchBudgetExceeded("forced off")
 
     with pytest.MonkeyPatch.context() as patch:
@@ -408,6 +408,40 @@ def test_one_matched_signature_anchors_a_proof_the_first_search_misses(monkeypat
     # succeeds before most signatures are computed
     g = shrikhande()
     h = graph_from_spec("permuted:42:shrikhande")
+    with pytest.raises(SearchBudgetExceeded):
+        find_isomorphism(g, h, budget=g.n * g.n)
+    calls = count_traversals(monkeypatch)
+    verdict = rsvp_compare(g, h)
+    assert len(calls) <= g.n + 1
+    assert verify_mapping(g, h, verdict.mapping)
+
+
+def circulant(n: int, jumps: tuple[int, ...]) -> Graph:
+    """C_n(jumps): v adjacent to v +- j (mod n) for each jump j."""
+    return Graph(n, sorted({tuple(sorted((v, (v + j) % n))) for v in range(n) for j in jumps}))
+
+
+def generalized_petersen(n: int, k: int) -> Graph:
+    """GP(n, k): an outer n-cycle, spokes v -- n + v, inner edges n + v -- n + v + k."""
+    outer = [(v, (v + 1) % n) for v in range(n)]
+    spokes = [(v, n + v) for v in range(n)]
+    inner = [(n + v, n + (v + k) % n) for v in range(n)]
+    return Graph(2 * n, outer + spokes + inner)
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+@pytest.mark.parametrize("build", [
+    lambda: circulant(31, (1, 5, 8)),
+    lambda: generalized_petersen(24, 5),
+    lambda: graph_from_spec("random_regular:20:9:1"),
+    lambda: graph_from_spec("disjoint_union:shrikhande:rook:4"),
+], ids=["C31(1,5,8)", "GP(24,5)", "random_regular:20:9:1", "disjoint_union:shrikhande:rook:4"])
+def test_the_anchored_search_proves_twins_the_first_search_misses(monkeypatch, build, seed):
+    # no benchmark row reaches the anchored run, so these twins pin its reach:
+    # the first search runs out on each, and the one anchored on a matched
+    # signature proves it after a few signatures
+    g = build()
+    h = permute(g, Permutation.random(g.n, random.Random(seed)))
     with pytest.raises(SearchBudgetExceeded):
         find_isomorphism(g, h, budget=g.n * g.n)
     calls = count_traversals(monkeypatch)
