@@ -137,8 +137,14 @@ def permute(g: Graph, p: Permutation) -> Graph:
 
 def disjoint_union(g: Graph, h: Graph) -> Graph:
     """Vertices of ``h`` are relabeled to g.n..g.n+h.n-1."""
-    shifted = [(u + g.n, w + g.n) for u, w in h.edges()]
-    return Graph(g.n + h.n, g.edges() + shifted)
+    # valid inputs need no re-check, only a sort: no row order is guaranteed
+    shift = g.n
+    union = Graph.__new__(Graph)
+    union.n, union.m = g.n + h.n, g.m + h.m
+    union.adjacency = [sorted(row) for row in g.adjacency]
+    union.adjacency += [[w + shift for w in sorted(row)] for row in h.adjacency]
+    union._bits = union._second = None
+    return union
 
 
 def verify_mapping(g1: Graph, g2: Graph, f: Permutation) -> bool:

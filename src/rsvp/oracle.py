@@ -89,7 +89,11 @@ def find_isomorphism(g1: Graph, g2: Graph, budget: int | None = None,
     if n == 0:
         return Permutation(())
 
-    start: list = _distance_profiles(g1) + _distance_profiles(g2)
+    p1, p2 = _distance_profiles(g1), _distance_profiles(g2)
+    # refinement only splits classes, so unequal start histograms stay so
+    if Counter(p1) != Counter(p2):
+        return None
+    start: list = p1 + p2
     if anchor is not None:
         start = [(p, i in (0, n + anchor)) for i, p in enumerate(start)]
     colors = color_refinement(disjoint_union(g1, g2), start).colors

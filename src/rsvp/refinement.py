@@ -12,7 +12,11 @@ from .graphs import Graph, disjoint_union
 
 @dataclass(frozen=True)
 class Coloring:
-    """Stable vertex coloring: dense class ids plus the rounds it took."""
+    """Stable vertex coloring: dense class ids plus the rounds it took.
+
+    The last round counted is the first that splits no class, so a start
+    that is already stable takes 1 round (a graph with no vertices, 0).
+    """
 
     colors: tuple[int, ...]
     rounds: int
@@ -22,23 +26,25 @@ def _refine_once(g: Graph, colors: list[int]) -> list[int]:
     # new color = rank of (own color, sorted neighbor colors) among all keys;
     # sorting keys keeps ids canonical under any input ordering
     keys = [
-        (colors[v], tuple(sorted(colors[w] for w in g.adjacency[v])))
-        for v in range(g.n)
+        (colors[v], tuple(sorted(map(colors.__getitem__, row))))
+        for v, row in enumerate(g.adjacency)
     ]
     rank = {key: i for i, key in enumerate(sorted(set(keys)))}
-    return [rank[key] for key in keys]
+    return list(map(rank.__getitem__, keys))
 
 
 def color_refinement(g: Graph, start: Sequence = ()) -> Coloring:
     """Refine ``start``'s sortable vertex labels, else a uniform start, until no class splits."""
     colors = list(start) or [0] * g.n
+    count = len(set(colors))
     rounds = 0
     while g.n:
-        new = _refine_once(g, colors)
+        colors = _refine_once(g, colors)
         rounds += 1
-        if new == colors:
+        # each round refines the last: an unchanged class count split nothing
+        last, count = count, len(set(colors))
+        if count == last:
             break
-        colors = new
     return Coloring(tuple(colors), rounds)
 
 
@@ -53,6 +59,9 @@ def wl_compare(g1: Graph, g2: Graph) -> WLVerdict:
     One-sided like the signature test: NON_ISOMORPHIC is definitive,
     POSSIBLY_ISOMORPHIC is not a claim of isomorphism.
     """
+    # round 1 colours by degree, and later rounds only split its classes
+    if g1.degree_sequence() != g2.degree_sequence():
+        return WLVerdict.NON_ISOMORPHIC
     union = disjoint_union(g1, g2)
     colors = color_refinement(union).colors
     left = Counter(colors[: g1.n])

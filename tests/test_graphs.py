@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_graph, shuffled_copy
+from conftest import graph_pairs, random_graph, shuffled_copy
 from rsvp.generators import complete, disjoint_union, path, paley
 from rsvp.graphs import Graph, Permutation, permute
 
@@ -95,6 +95,21 @@ def test_permute_then_inverse_restores(seed, n):
     p = Permutation.random(g.n, rng)
     inverse = Permutation(tuple(sorted(range(g.n), key=p.__getitem__)))
     assert permute(permute(g, p), inverse) == g
+
+
+@settings(max_examples=150, deadline=None)
+@given(graph_pairs())
+def test_disjoint_union_equals_the_union_built_from_edges(pair):
+    g, h = pair
+    for left, right in ((g, h), (Graph(0), h), (g, Graph(0)), (Graph(0), Graph(0))):
+        union = disjoint_union(left, right)
+        shifted = [(u + left.n, w + left.n) for u, w in right.edges()]
+        assert union == Graph(left.n + right.n, left.edges() + shifted)
+        assert union.m == left.m + right.m == len(union.edges())
+        assert all(row == sorted(row) for row in union.adjacency)
+        # fresh rows: writing to the union's storage cannot reach g or h
+        inputs = {id(row) for row in left.adjacency + right.adjacency}
+        assert not inputs & {id(row) for row in union.adjacency}
 
 
 def test_permute_preserves_degree_multiset():

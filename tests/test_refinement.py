@@ -3,10 +3,16 @@ from __future__ import annotations
 import random
 from collections import Counter
 
-from conftest import atlas, random_graph
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import reference_refinement
+from conftest import atlas, random_graph, small_graphs
 from rsvp.generators import complete, cycle, disjoint_union, path, rook, shrikhande
-from rsvp.graphs import Permutation, permute
-from rsvp.refinement import WLVerdict, _refine_once, color_refinement, wl_compare
+from rsvp.graphs import Graph, Permutation, permute
+from rsvp.oracle import _distance_profiles, find_isomorphism
+from rsvp.refinement import Coloring, WLVerdict, _refine_once, color_refinement, wl_compare
 
 
 def test_regular_graph_stays_one_class():
@@ -87,3 +93,74 @@ def test_joint_refinement_color_ids_are_dense():
     assert set(colors) == set(range(len(set(colors))))
     histogram = Counter(colors)
     assert sum(histogram.values()) == g.n
+
+
+def assert_matches_reference(g: Graph, anchor: int) -> None:
+    """Uniform start: same colours and rounds as the confirming-round loop.
+    Explicit starts (distance profiles, and those with ``anchor``
+    individualised): same colours, and at most the confirming round fewer."""
+    uniform = color_refinement(g)
+    assert uniform == reference_refinement.color_refinement(g)
+    profiles = _distance_profiles(g)
+    anchored = [(p, v == anchor) for v, p in enumerate(profiles)]
+    for start in (profiles, anchored):
+        coloring = color_refinement(g, start)
+        expected = reference_refinement.color_refinement(g, start)
+        assert coloring.colors == expected.colors
+        assert expected.rounds - 1 <= coloring.rounds <= expected.rounds
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_refinement_matches_the_reference_on_the_atlas(n):
+    for g in atlas(n):
+        for anchor in range(max(n, 1)):
+            assert_matches_reference(g, anchor)
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_graphs(), st.data())
+def test_refinement_matches_the_reference_on_small_graphs(g, data):
+    assert_matches_reference(g, data.draw(st.integers(0, g.n - 1)))
+
+
+def test_a_stable_start_takes_one_round():
+    stable = color_refinement(path(5))
+    assert stable.rounds == 3  # degree split, centre split, no split
+    assert color_refinement(path(5), stable.colors) == Coloring(stable.colors, 1)
+    # labels that are stable but not dense ids: the reference confirms them
+    # with a second round that returns the first one's colours
+    labels = [0, 10, 20, 10, 0]
+    assert color_refinement(path(5), labels) == Coloring(stable.colors, 1)
+    assert reference_refinement.color_refinement(path(5), labels).rounds == 2
+
+
+def count_refinements(monkeypatch, module: str) -> list:
+    """Record each call made through ``module``'s ``color_refinement``, the
+    global that the module calls and that perfbench traces."""
+    calls = []
+    original = color_refinement
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(f"{module}.color_refinement", counted)
+    return calls
+
+
+def test_wl_compare_decides_different_degrees_without_refining(monkeypatch):
+    calls = count_refinements(monkeypatch, "rsvp.refinement")
+    assert wl_compare(complete(3), path(3)) is WLVerdict.NON_ISOMORPHIC
+    assert calls == []
+    assert wl_compare(cycle(6), disjoint_union(complete(3), complete(3))) is WLVerdict.POSSIBLY_ISOMORPHIC
+    assert len(calls) == 1
+
+
+def test_find_isomorphism_decides_different_profiles_without_refining(monkeypatch):
+    calls = count_refinements(monkeypatch, "rsvp.oracle")
+    # both 2-regular; their distance-4 spheres differ
+    assert find_isomorphism(cycle(16), disjoint_union(cycle(8), cycle(8)), budget=0) is None
+    assert calls == []
+    # equal profiles: refinement runs once, and then the search decides
+    assert find_isomorphism(cycle(6), permute(cycle(6), Permutation((3, 1, 4, 0, 5, 2)))) is not None
+    assert len(calls) == 1
