@@ -91,17 +91,6 @@ class HopParentIndex:
         return tuple(map(tuple, per_target))
 
 
-def _add_to_counter(counter: list[int], bits: int) -> None:
-    # bit-sliced counter: counter[i] holds bit i of every vertex's count, so
-    # adding one to each vertex in ``bits`` is a ripple-carry over the slices
-    for i, digit in enumerate(counter):
-        counter[i] = digit ^ bits
-        bits &= digit
-        if not bits:
-            return
-    counter.append(bits)
-
-
 def members(bits: int) -> tuple[int, ...]:
     """The vertices of a bitset, ascending."""
     out = []
@@ -146,7 +135,18 @@ def aggregate_hp(g: Graph, v: int) -> HopParentIndex:
             else:
                 layers[k] |= frontier
                 reached[k] |= near
-                _add_to_counter(counters[k], near)
+                # bit-sliced counter: counter[i] holds bit i of every vertex's
+                # count, so adding one to each vertex in ``near`` is a
+                # ripple-carry over the slices
+                counter = counters[k]
+                carry = near
+                for i, digit in enumerate(counter):
+                    counter[i] = digit ^ carry
+                    carry &= digit
+                    if not carry:
+                        break
+                else:
+                    counter.append(carry)
             frontier = near & ~seen
             seen |= frontier
             k += 1
@@ -158,9 +158,9 @@ def aggregate_hp(g: Graph, v: int) -> HopParentIndex:
                 near = 0
                 rest = frontier
                 while rest:
-                    low = rest & -rest
-                    near |= rows[low.bit_length() - 1]
-                    rest ^= low
+                    u = rest.bit_length() - 1
+                    near |= rows[u]
+                    rest ^= 1 << u
                 near &= without_v
 
     return HopParentIndex(v, rows, layers, reached, counters)

@@ -99,22 +99,21 @@ def _signature(index: HopParentIndex, totals: dict[int, int], primes: list[int])
     once per class and shared by its targets. total(P) is k(k - 1) - e(P)
     for k parents with e(P) edges among them, memoised in ``totals`` on the
     parent bitset; ``rows`` are the graph's own, so one memo serves every
-    vertex of a graph. Elements are sorted by the exact integer keys
-    ``num * (scale // den)``, with ``scale`` the lcm of the denominators,
-    and written as ``key/scale`` in lowest terms (0 as ``0/1``), comma-joined.
+    vertex of a graph. Bitsets are walked top bit first: products and sums
+    commute, so the order cannot change a value. Elements are sorted by the
+    exact integer keys ``num * (scale // den)``, with ``scale`` the lcm of
+    the denominators, and written as ``key/scale`` in lowest terms (0 as
+    ``0/1``), comma-joined.
     """
     rows = index.rows
-    reached = 0
-    for bits in index.reached:
-        reached |= bits
-    num = [reached >> t & 1 for t in range(len(rows))]
-    den = [1] * len(num)
+    n = len(rows)
+    num = [1] * n
+    den = [1] * n
     for hop, count, targets, layer in index.classes():
         factor = primes[hop - 1] ** count
         while targets:
-            low = targets & -targets
-            t = low.bit_length() - 1
-            targets ^= low
+            t = targets.bit_length() - 1
+            targets ^= 1 << t
             parents = rows[t] & layer
             if parents & (parents - 1):
                 k = parents.bit_count()
@@ -123,14 +122,21 @@ def _signature(index: HopParentIndex, totals: dict[int, int], primes: list[int])
                     edges = 0  # twice e(P): each edge inside P is seen from both ends
                     rest = parents
                     while rest:
-                        low = rest & -rest
-                        edges += (rows[low.bit_length() - 1] & parents).bit_count()
-                        rest ^= low
+                        u = rest.bit_length() - 1
+                        rest ^= 1 << u
+                        edges += (rows[u] & parents).bit_count()
                     total = totals[parents] = k * (k - 1) - edges // 2
                 num[t] *= total * factor
                 den[t] *= k * (k - 1) // 2
             else:
                 num[t] *= factor
+    unreached = (1 << n) - 1
+    for bits in index.reached:
+        unreached &= ~bits
+    while unreached:  # no group: the element is 0
+        t = unreached.bit_length() - 1
+        unreached ^= 1 << t
+        num[t] = 0
     scale = lcm(*den)
     keys = sorted([a * (scale // b) for a, b in zip(num, den)])
     out = []

@@ -9,7 +9,15 @@ from conftest import random_graph, shuffled_copy, small_graphs
 from reference_reachability import aggregate_hp as reference_aggregate_hp
 from reference_reachability import deleted_neighborhood_bfs
 from rsvp.distances import bfs_distances
-from rsvp.generators import complete, disjoint_union, paley, path, rook, worked_example
+from rsvp.generators import (
+    complete,
+    disjoint_union,
+    graph_from_spec,
+    paley,
+    path,
+    rook,
+    worked_example,
+)
 from rsvp.graphs import Graph, Permutation, permute
 from rsvp.reachability import Group, aggregate_hp, members
 
@@ -152,11 +160,15 @@ def test_bitset_kernel_matches_per_edge_reference(g):
         assert hp.groups == reference_aggregate_hp(g, v).groups
 
 
-@pytest.mark.parametrize("g", [complete(17), paley(29), rook(6)],
-                         ids=["complete17", "paley29", "rook6"])
+@pytest.mark.parametrize(
+    "g",
+    [complete(17), paley(29), rook(6), graph_from_spec("random_gnm:70:210:5"),
+     graph_from_spec("disjoint_union:cycle:40:random_regular:40:3:7")],
+    ids=["complete17", "paley29", "rook6", "gnm70", "cycle40+cubic40"])
 def test_counters_with_many_bit_slices_match_the_reference(g):
-    # start counts up to deg v (10 to 16) need 4-5 counter slices, more
-    # than the 16-vertex property graphs reach
+    # start counts up to deg v (10 to 16) need 4-5 counter slices, and n = 70
+    # or 80 needs bitsets of three or more 30-bit digits: the 16-vertex
+    # property graphs reach neither
     for v in range(g.n):
         assert aggregate_hp(g, v).groups == reference_aggregate_hp(g, v).groups
 

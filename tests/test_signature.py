@@ -146,6 +146,17 @@ def test_integer_signatures_match_the_fraction_definition(g):
             assert token == f"{x.numerator}/{x.denominator}"
 
 
+def test_integer_signatures_match_the_definition_above_64_vertices():
+    # a disconnected n = 80 graph: the other component's 40 targets and the
+    # vertex itself are unreached, so their 41 elements must read 0
+    g = graph_from_spec("disjoint_union:cycle:40:random_regular:40:3:7")
+    d = distance_matrix(g)
+    for v in (0, 39, 40, 79):
+        expected = tuple(sorted(signature_element(grp, d) for grp in aggregate_hp(g, v).groups))
+        assert expected.count(Fraction(0)) == 41
+        assert elements(vertex_signature(g, v, d)) == expected
+
+
 def test_vertex_signature_k2():
     g = complete(2)
     d = distance_matrix(g)
@@ -246,6 +257,13 @@ CERTIFICATE_SHA256 = [
      "1c830df6dea070579c84a66a5d0ba131260c5f83fb594c00406817f5936814a3"),
     ("permuted:7:random_gnm:24:100:3",
      "7b9187fd23e52259cbedc3b50d990a43f1382ff9a813ef50240cf4769a0d29ec"),
+    # above n = 64 a vertex bitset spans three or more 30-bit digits
+    ("paley:101", "4ba98de3f1e00c3a218cb031a9dcceb988c29b4c1840d0743304af3469f9bdde"),
+    ("random_regular:200:4:1", "c69515394c9de0a96d219d61b4ba7b711d5f75cf73bc764a947d5febfa1e26a3"),
+    ("path:100", "f5b50ecdc876e421115644ea418954a7bb17c8a1070a676693af80ad91402438"),
+    ("random_gnm:70:210:5", "8d3b315aa18fa4c278969df07a0f9d82950c2682c2bebd0388bcd12769a33b4a"),
+    ("disjoint_union:cycle:40:random_regular:40:3:7",
+     "0e66cf9bb64654ceb5078b20f4c99b6ce9948eb1a393a22cf5c4383b1def0835"),
 ]
 
 
