@@ -56,22 +56,23 @@ def _counts(tokens: list[str], lineno: int, name: str) -> list[int]:
     return counts
 
 
-def _add_edge(edges: set[tuple[int, int]], lineno: int, u_token: str, w_token: str,
+def _add_edge(rows: list[int], lineno: int, u_token: str, w_token: str,
               n: int, base: int, kind: str = "") -> int:
-    """Add the edge between two ``base``-based vertex ids to ``edges`` as a
-    0-based pair; 1 if it was there already (a duplicate line), else 0."""
+    """Check the edge between two ``base``-based vertex ids and set it in
+    ``rows``, the graph's ``bits`` to be; 1 if it was set already, else 0."""
     try:
-        u, w = int(u_token), int(w_token)
+        u, w = int(u_token) - base, int(w_token) - base
     except ValueError:
         raise ParseError(f"line {lineno}: non-integer vertex id") from None
-    if not (base <= u < n + base and base <= w < n + base):
+    if not (0 <= u < n and 0 <= w < n):
         raise ParseError(f"line {lineno}: vertex id outside {base}..{n + base - 1}")
     if u == w:
-        raise ParseError(f"line {lineno}: self-loop '{kind}{u} {w}'")
-    key = (u - base, w - base) if u < w else (w - base, u - base)
-    if key in edges:
+        raise ParseError(f"line {lineno}: self-loop '{kind}{u + base} {w + base}'")
+    row = rows[u]
+    rows[u] = row | 1 << w
+    if rows[u] == row:
         return 1
-    edges.add(key)
+    rows[w] |= 1 << u
     return 0
 
 
@@ -79,7 +80,7 @@ def parse_dimacs(text: str) -> Graph:
     """Parse DIMACS ``p edge`` format into a :class:`Graph`."""
     n: int | None = None
     declared_m = 0
-    edges: set[tuple[int, int]] = set()
+    rows: list[int] = []
     duplicates = 0
     colored_lines = 0
 
@@ -94,12 +95,13 @@ def parse_dimacs(text: str) -> Graph:
             if len(tokens) != 4 or tokens[1] != "edge":
                 raise ParseError(f"line {lineno}: expected 'p edge <n> <m>'")
             n, declared_m = _counts(tokens[2:], lineno, "counts")
+            rows = [0] * n
         elif kind == "e":
             if n is None:
                 raise ParseError(f"line {lineno}: 'e' line before 'p' line")
             if len(tokens) != 3:
                 raise ParseError(f"line {lineno}: expected 'e <u> <v>'")
-            duplicates += _add_edge(edges, lineno, tokens[1], tokens[2], n, 1, "e ")
+            duplicates += _add_edge(rows, lineno, tokens[1], tokens[2], n, 1, "e ")
         elif kind == "n":
             # vertex color annotations are out of scope
             colored_lines += 1
@@ -108,19 +110,20 @@ def parse_dimacs(text: str) -> Graph:
 
     if n is None:
         raise ParseError("missing 'p edge <n> <m>' line")
+    g = Graph.__new__(Graph)._adopt(rows)
     if duplicates:
         _warn(f"{duplicates} duplicate edge line(s) collapsed")
     if colored_lines:
         _warn(f"{colored_lines} vertex color line(s) ignored")
-    if declared_m != len(edges):
-        _warn(f"declared {declared_m} edges, found {len(edges)}; using actual count")
-    return Graph(n, edges)
+    if declared_m != g.m:
+        _warn(f"declared {declared_m} edges, found {g.m}; using actual count")
+    return g
 
 
 def parse_edge_list(text: str) -> Graph:
     """Parse the 0-based edge-list format into a :class:`Graph`."""
     n: int | None = None
-    edges: set[tuple[int, int]] = set()
+    rows: list[int] = []
     duplicates = 0
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -131,16 +134,17 @@ def parse_edge_list(text: str) -> Graph:
             if len(tokens) != 1:
                 raise ParseError(f"line {lineno}: expected vertex count, got {raw!r}")
             (n,) = _counts(tokens, lineno, "vertex count")
+            rows = [0] * n
         elif len(tokens) != 2:
             raise ParseError(f"line {lineno}: expected '<u> <v>', got {raw!r}")
         else:
-            duplicates += _add_edge(edges, lineno, tokens[0], tokens[1], n, 0)
+            duplicates += _add_edge(rows, lineno, tokens[0], tokens[1], n, 0)
 
     if n is None:
         raise ParseError("missing vertex count line")
     if duplicates:
         _warn(f"{duplicates} duplicate edge line(s) collapsed")
-    return Graph(n, edges)
+    return Graph.__new__(Graph)._adopt(rows)
 
 
 def to_dimacs(g: Graph) -> str:

@@ -6,7 +6,7 @@ import random
 from collections import Counter
 from collections.abc import Callable
 from functools import partial
-from itertools import combinations
+from itertools import chain, combinations
 from math import comb, isqrt
 
 from .graphs import MAX_VERTICES, Graph, Permutation, disjoint_union, permute
@@ -19,19 +19,19 @@ _SWITCHES_PER_PAIR = 100
 def cycle(k: int) -> Graph:
     if k < 3:
         raise ValueError("cycle needs k >= 3")
-    return Graph(k, [(i, (i + 1) % k) for i in range(k)])
+    return Graph(k, ((i, (i + 1) % k) for i in range(k)))
 
 
 def complete(k: int) -> Graph:
     if k < 1:
         raise ValueError("complete needs k >= 1")
-    return Graph(k, [(u, w) for u in range(k) for w in range(u + 1, k)])
+    return Graph(k, ((u, w) for u in range(k) for w in range(u + 1, k)))
 
 
 def path(k: int) -> Graph:
     if k < 1:
         raise ValueError("path needs k >= 1")
-    return Graph(k, [(i, i + 1) for i in range(k - 1)])
+    return Graph(k, ((i, i + 1) for i in range(k - 1)))
 
 
 def _edge(u: int, w: int) -> tuple[int, int]:
@@ -44,30 +44,20 @@ def rook(k: int) -> Graph:
     the SRG(16, 6, 2, 2) that contains 4-cliques."""
     if k < 1:
         raise ValueError("rook needs k >= 1")
-    edges = []
-    for i in range(k):
-        for j in range(k):
-            v = k * i + j
-            for jj in range(j + 1, k):
-                edges.append((v, k * i + jj))
-            for ii in range(i + 1, k):
-                edges.append((v, k * ii + j))
-    return Graph(k * k, edges)
+    line = range(k)
+    same_row = ((k * i + j, k * i + jj) for i in line for j in line for jj in range(j + 1, k))
+    same_column = ((k * i + j, k * ii + j) for i in line for j in line for ii in range(i + 1, k))
+    return Graph(k * k, chain(same_row, same_column))
 
 
 def shrikhande() -> Graph:
     """Cayley graph on Z4 x Z4 with connection set {±(1,0), ±(0,1), ±(1,1)};
     cell (a, b) is vertex 4*a + b. The other SRG(16, 6, 2, 2): no 4-cliques,
     so it is not isomorphic to rook(4) despite identical parameters."""
-    deltas = [(1, 0), (3, 0), (0, 1), (0, 3), (1, 1), (3, 3)]
-    edges = set()
-    for a in range(4):
-        for b in range(4):
-            v = 4 * a + b
-            for da, db in deltas:
-                w = 4 * ((a + da) % 4) + (b + db) % 4
-                edges.add(_edge(v, w))
-    return Graph(16, edges)
+    # each edge once: from v to v + delta, never back by -delta
+    deltas = [(1, 0), (0, 1), (1, 1)]
+    return Graph(16, ((4 * a + b, 4 * ((a + da) % 4) + (b + db) % 4)
+                      for a in range(4) for b in range(4) for da, db in deltas))
 
 
 def _is_prime(q: int) -> bool:
@@ -87,16 +77,15 @@ def paley(q: int) -> Graph:
     if q % 4 != 1:
         raise ValueError(f"paley order {q} is not 1 mod 4")
     residues = {x * x % q for x in range(1, q)}
-    edges = [(u, w) for u in range(q) for w in range(u + 1, q) if (w - u) % q in residues]
-    return Graph(q, edges)
+    return Graph(q, ((u, w) for u in range(q) for w in range(u + 1, q) if (w - u) % q in residues))
 
 
 def random_gnm(n: int, m: int, seed: int) -> Graph:
     """Uniform simple graph with exactly n vertices and m edges.
 
     The edges are m distinct positions in the lexicographic list of the
-    C(n, 2) pairs, sampled from a ``range`` and decoded, so the list itself
-    is never built.
+    C(n, 2) pairs, sampled from a ``range`` and decoded one by one as the
+    graph reads them, so no list of pairs is ever built.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
@@ -104,14 +93,15 @@ def random_gnm(n: int, m: int, seed: int) -> Graph:
     if not 0 <= m <= limit:
         raise ValueError(f"m={m} outside 0..{limit} for n={n}")
     rng = random.Random(seed)
-    edges = []
-    for i in rng.sample(range(limit), m):
+
+    def pair(i: int) -> tuple[int, int]:
         # counted from the end, pair i is the r-th, and the pairs whose first
         # vertex is u follow the C(a, 2) pairs of the a = n - 1 - u larger ones
         r = limit - 1 - i
         a = (isqrt(8 * r + 1) + 1) // 2
-        edges.append((n - 1 - a, n - 1 - r + a * (a - 1) // 2))
-    return Graph(n, edges)
+        return n - 1 - a, n - 1 - r + a * (a - 1) // 2
+
+    return Graph(n, map(pair, rng.sample(range(limit), m)))
 
 
 def _repair_by_switches(n: int, d: int, stubs: list[int], rng: random.Random) -> Graph:
@@ -171,7 +161,7 @@ def random_regular(n: int, d: int, seed: int) -> Graph:
     if 2 * d > n - 1:
         # a dense graph leaves switches no room; repair its sparser complement
         complement = set(random_regular(n, n - 1 - d, rng.randrange(1 << 30)).edges())
-        return Graph(n, [e for e in combinations(range(n), 2) if e not in complement])
+        return Graph(n, (e for e in combinations(range(n), 2) if e not in complement))
     return _repair_by_switches(n, d, stubs, rng)
 
 

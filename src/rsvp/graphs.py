@@ -5,66 +5,79 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import compress
 from typing import Iterable
 
 # largest vertex count a reader or a generator spec accepts: a certificate
 # holds n² elements, so even an edgeless graph at the limit certifies to
-# 64 MiB of text, and the adjacency rows are allocated up front
+# 64 MiB of text, and the bitset rows are allocated up front
 MAX_VERTICES = 4_096
+
+_DIGIT_BITS = bytes.maketrans(b"01", b"\0\1")
 
 
 class Graph:
     """Immutable simple undirected graph.
 
     Vertices are the integers 0..n-1. Each undirected edge is counted once
-    in ``m``. Adjacency rows are sorted ascending on construction; that is a
-    storage convention only and no algorithm in this package may depend on
-    row order (the certificate pipeline is tested against shuffled rows).
+    in ``m``. ``bits`` is the one store of the edge set, built as the edges
+    arrive: bit ``w`` of ``bits[u]`` is set iff u ~ w, n²/8 bytes in all.
+    ``adjacency`` is derived from it, each row ascending over one shared
+    list of id ints; that order is a storage convention only and no
+    algorithm in this package may depend on it (the certificate pipeline is
+    tested against shuffled rows).
 
-    ``bits`` holds the same rows as ``int`` bitsets (bit ``w`` of ``bits[u]``
-    is set iff u ~ w). It is built on first use; the signature path, the
-    oracle and ``verify_mapping`` read it, so only graphs that WL or the
-    readers alone touch never allocate its n²/8 bytes.
-
-    ``second`` is the pair ``(twice, once)`` of second-neighbour bitsets, also
+    ``second`` is the pair ``(twice, once)`` of second-neighbour bitsets,
     built on first use: bit ``w`` of ``twice[s]`` is set iff w has at least
     two neighbours in N(s), and of ``once[s]`` iff it has exactly one. Both
     are lists only to keep per-graph tuple copies off CPython's tuple free
-    lists; nothing may write to them.
+    lists. Nothing may write to ``bits``, ``adjacency`` or ``second``.
     """
 
-    __slots__ = ("n", "m", "adjacency", "_bits", "_second")
+    __slots__ = ("n", "m", "bits", "adjacency", "_second")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()) -> None:
         if n < 0:
             raise ValueError("vertex count must be >= 0")
-        seen: set[tuple[int, int]] = set()
+        rows = [0] * n
         for u, w in edges:
             if not (0 <= u < n and 0 <= w < n):
                 raise ValueError(f"edge ({u}, {w}) out of range for n={n}")
             if u == w:
                 raise ValueError(f"self-loop at vertex {u}")
-            key = (u, w) if u < w else (w, u)
-            if key in seen:
+            row = rows[u]
+            rows[u] = row | 1 << w
+            if rows[u] == row:
                 raise ValueError(f"duplicate edge ({u}, {w})")
-            seen.add(key)
-        adjacency: list[list[int]] = [[] for _ in range(n)]
-        for u, w in seen:
-            adjacency[u].append(w)
-            adjacency[w].append(u)
-        for row in adjacency:
-            row.sort()
-        self.n = n
-        self.m = len(seen)
-        self.adjacency = adjacency
-        self._bits: tuple[int, ...] | None = None
-        self._second: tuple[list[int], list[int]] | None = None
+            rows[w] |= 1 << u
+        self._adopt(rows)
 
-    @property
-    def bits(self) -> tuple[int, ...]:
-        if self._bits is None:
-            self._bits = tuple(sum(1 << w for w in row) for row in self.adjacency)
-        return self._bits
+    def _adopt(self, rows: list[int]) -> Graph:
+        """Take ``rows``, trusted to be symmetric and loop-free, as ``bits``
+        and derive the rest: the one tail of ``Graph(n, edges)``, which checks
+        each edge first, and of ``disjoint_union`` and the readers."""
+        self.n = n = len(rows)
+        ids = list(range(n))
+        # one C pass over a row's n digits beats a step per neighbour once
+        # the row holds more than about 8 + n/16 of them
+        dense = 8 + n // 16
+        self.adjacency = adjacency = []
+        for row in rows:
+            if row.bit_count() > dense:
+                # bin()'s digits reversed, as bytes 0/1, pick the ids
+                neighbours = list(compress(ids, bin(row)[:1:-1].encode().translate(_DIGIT_BITS)))
+            else:
+                neighbours = []
+                while row:
+                    top = row.bit_length() - 1
+                    neighbours.append(ids[top])
+                    row ^= 1 << top
+                neighbours.reverse()
+            adjacency.append(neighbours)
+        self.m = sum(map(len, adjacency)) // 2
+        self.bits = rows
+        self._second: tuple[list[int], list[int]] | None = None
+        return self
 
     @property
     def second(self) -> tuple[list[int], list[int]]:
@@ -94,7 +107,7 @@ class Graph:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):
             return NotImplemented
-        return self.n == other.n and self.edges() == other.edges()
+        return self.bits == other.bits
 
     __hash__ = None  # adjacency rows are lists
 
@@ -132,19 +145,12 @@ def permute(g: Graph, p: Permutation) -> Graph:
     """Relabel ``g`` through ``p``: edge (u, w) becomes (p[u], p[w])."""
     if len(p) != g.n:
         raise ValueError(f"permutation size {len(p)} != vertex count {g.n}")
-    return Graph(g.n, ((p[u], p[w]) for u, w in g.edges()))
+    return Graph(g.n, ((p[u], p[w]) for u in range(g.n) for w in g.adjacency[u] if u < w))
 
 
 def disjoint_union(g: Graph, h: Graph) -> Graph:
     """Vertices of ``h`` are relabeled to g.n..g.n+h.n-1."""
-    # valid inputs need no re-check, only a sort: no row order is guaranteed
-    shift = g.n
-    union = Graph.__new__(Graph)
-    union.n, union.m = g.n + h.n, g.m + h.m
-    union.adjacency = [sorted(row) for row in g.adjacency]
-    union.adjacency += [[w + shift for w in sorted(row)] for row in h.adjacency]
-    union._bits = union._second = None
-    return union
+    return Graph.__new__(Graph)._adopt(g.bits + [row << g.n for row in h.bits])
 
 
 def verify_mapping(g1: Graph, g2: Graph, f: Permutation) -> bool:

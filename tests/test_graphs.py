@@ -1,13 +1,18 @@
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import graph_pairs, random_graph, shuffled_copy
-from rsvp.generators import complete, disjoint_union, path, paley
+from rsvp.formats import parse_dimacs, parse_edge_list, to_dimacs
+from rsvp.generators import complete, cycle, disjoint_union, path, paley, rook
 from rsvp.graphs import Graph, Permutation, permute
 
 
@@ -24,17 +29,26 @@ def test_m_is_half_the_adjacency_mass():
     assert sum(len(row) for row in g.adjacency) == 2 * g.m
 
 
-@pytest.mark.parametrize(
-    "n,edges",
-    [
-        (3, [(0, 0)]),  # self-loop
-        (3, [(0, 1), (1, 0)]),  # duplicate
-        (3, [(0, 3)]),  # out of range
-        (2, [(-1, 0)]),
-    ],
-)
-def test_constructor_rejects_invalid_edges(n, edges):
-    with pytest.raises(ValueError):
+INVALID_EDGES = [
+    (3, [(0, 0)], r"self-loop at vertex 0"),
+    (3, [(0, 1), (1, 0)], r"duplicate edge \(1, 0\)"),
+    (3, [(0, 3)], r"edge \(0, 3\) out of range for n=3"),
+    (2, [(-1, 0)], r"edge \(-1, 0\) out of range for n=2"),
+    # two faults: the first bad edge in input order is the one named, and
+    # within one edge the range is checked before the self-loop
+    (3, [(0, 1), (1, 0), (0, 0)], r"duplicate edge \(1, 0\)"),
+    (4, [(0, 0), (0, 4)], r"self-loop at vertex 0"),
+    (4, [(0, 4), (0, 0)], r"edge \(0, 4\) out of range for n=4"),
+    (3, [(3, 3)], r"edge \(3, 3\) out of range for n=3"),
+    (3, [(2, 1), (0, 1), (1, 2), (0, 1)], r"duplicate edge \(1, 2\)"),
+]
+
+
+# ids from the first two columns only (n-edgesK): a regex makes a poor test id
+@pytest.mark.parametrize("n,edges,message", INVALID_EDGES,
+                         ids=[f"{n}-edges{k}" for k, (n, _, _) in enumerate(INVALID_EDGES)])
+def test_constructor_rejects_invalid_edges(n, edges, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
         Graph(n, edges)
 
 
@@ -120,14 +134,21 @@ def test_permute_preserves_degree_multiset():
 
 
 def storage_variants() -> list[Graph]:
-    """Shuffled rows, a relabeling, disjoint unions, isolated vertices, n <= 1."""
+    """Shuffled rows, a relabeling, disjoint unions, parsed graphs, a star
+    (one dense row among sparse ones), isolated vertices, n <= 1: every way
+    a graph is built."""
     rng = random.Random(23)
     g = paley(13)
+    parsed = parse_dimacs(to_dimacs(rook(3)))
     return [
         shuffled_copy(g, rng),
         permute(g, Permutation.random(g.n, rng)),
         disjoint_union(path(4), complete(3)),
         disjoint_union(shuffled_copy(random_graph(rng, max_n=12), rng), Graph(2)),
+        parsed,
+        parse_edge_list("7\n0 1\n5 2\n1 2\n"),
+        disjoint_union(cycle(5), parsed),
+        Graph(12, ((0, leaf) for leaf in range(1, 12))),
         Graph(0),
         Graph(1),
         Graph(3),
@@ -139,6 +160,8 @@ def test_bits_agree_with_adjacency():
         assert len(h.bits) == h.n
         assert all(h.bits[u] >> w & 1 == (w in h.adjacency[u])
                    for u in range(h.n) for w in range(h.n))
+        assert sum(len(row) for row in h.adjacency) == 2 * h.m
+        assert h == Graph(h.n, h.edges())
 
 
 def test_second_neighbour_bits_count_common_neighbours():
@@ -150,3 +173,26 @@ def test_second_neighbour_bits_count_common_neighbours():
                 common = len(set(h.adjacency[w]) & set(h.adjacency[s]))
                 assert twice[s] >> w & 1 == (common >= 2)
                 assert once[s] >> w & 1 == (common == 1)
+
+
+# a small wrapper runs the load in a grandchild, so RUSAGE_CHILDREN reads that
+# process's peak alone: a child forked from the test process would carry the
+# test process's own peak RSS over into its ru_maxrss
+_PEAK_RSS = """
+import resource, subprocess, sys
+subprocess.run([sys.executable, "-c", sys.argv[1]], check=True)
+print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)
+"""
+
+
+def test_a_dense_graph_loads_without_copies_of_its_edge_set():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    load = "from rsvp.generators import graph_from_spec; graph_from_spec('complete:1500')"
+    done = subprocess.run([sys.executable, "-c", _PEAK_RSS, load], env=env,
+                          capture_output=True, text=True, timeout=120, check=True)
+    # ru_maxrss counts KiB, bytes on macOS; m = 1,124,250, so a set of the
+    # edge tuples alone takes 125 MB, and the bitset rows 281 KB
+    peak_mb = int(done.stdout) / (2**20 if sys.platform == "darwin" else 2**10)
+    assert peak_mb < 100
