@@ -133,14 +133,18 @@ def _repair_by_switches(n: int, d: int, stubs: list[int], rng: random.Random) ->
 
 def random_regular(n: int, d: int, seed: int) -> Graph:
     """Random d-regular graph via the pairing model, rejecting pairings with
-    loops or repeated edges. If every attempt fails (likely for d >= 6), the
-    last pairing is repaired by double-edge switches, or for d > (n - 1) / 2
-    the complement is drawn instead; the result is still a function of the
-    seed alone, though no longer exactly uniform."""
+    loops or repeated edges. For d > (n - 1) / 2, where a pairing almost
+    never comes out simple, it is the complement of the (n - 1 - d)-regular
+    graph the same seed draws. If every attempt fails (likely for d >= 6),
+    the last pairing is repaired by double-edge switches; the result is still
+    a function of the seed alone, though no longer exactly uniform."""
     if not 0 <= d < n:
         raise ValueError(f"degree d={d} outside 0..{n - 1}")
     if n * d % 2:
         raise ValueError(f"n*d = {n * d} is odd; no {d}-regular graph on {n} vertices")
+    if 2 * d > n - 1:
+        complement = set(random_regular(n, n - 1 - d, seed).edges())
+        return Graph(n, (e for e in combinations(range(n), 2) if e not in complement))
     if d == 0:
         return Graph(n)
     rng = random.Random(seed)
@@ -158,10 +162,6 @@ def random_regular(n: int, d: int, seed: int) -> Graph:
             edges.add(key)
         else:
             return Graph(n, edges)
-    if 2 * d > n - 1:
-        # a dense graph leaves switches no room; repair its sparser complement
-        complement = set(random_regular(n, n - 1 - d, rng.randrange(1 << 30)).edges())
-        return Graph(n, (e for e in combinations(range(n), 2) if e not in complement))
     return _repair_by_switches(n, d, stubs, rng)
 
 

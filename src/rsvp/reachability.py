@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
 from .graphs import Graph
 
@@ -34,58 +34,28 @@ class Group(NamedTuple):
 
 @dataclass(frozen=True, eq=False)
 class HopParentIndex:
-    """The per-target groups of one source, as the traversals' layered bitsets.
+    """The per-target groups of one source, as its list of count classes.
 
-    ``layers[k]``, ``reached[k]`` and ``counters[k]`` are, merged over the
-    starts, the union of the layers L_k, the union of N(L_k), and the
-    bit-sliced per-vertex count of starts whose N(L_k) holds the vertex;
-    ``rows`` are the graph's own adjacency bitsets. No layer holds the
-    source, so a target's parents ``rows[t] & layer`` never do either.
-    ``classes`` walks the layers one count class at a time, and ``groups``
-    is decoded from that walk on first use: ``groups[t]`` is ordered by
-    strictly increasing hop, and targets that no traversal reached, and the
-    source itself, get an empty tuple. Equality is identity; compare
-    ``groups`` to compare two indexes.
+    ``classes`` holds ``(hop, count, targets, layer)`` for every nonempty
+    count class, hop ascending: ``targets`` is the bitset of the vertices
+    that exactly ``count`` starts reach at ``hop``, and ``layer`` is the
+    union, over the starts, of the layers L_{hop-2}. Within a hop the
+    classes are disjoint. ``rows`` are the graph's own adjacency bitsets,
+    so target t's parents are ``rows[t] & layer``; no layer holds the
+    source, so they never do either. ``groups`` is decoded from the classes
+    on first use: ``groups[t]`` is ordered by strictly increasing hop, and
+    targets that no traversal reached, and the source itself, get an empty
+    tuple. Equality is identity; compare ``groups`` to compare two indexes.
     """
 
-    source: int
-    rows: tuple[int, ...] = field(repr=False)
-    # lists, not tuple copies: copies freed per vertex pile up on CPython's tuple
-    # free lists, which only a generation-2 collection (rare here) empties
-    layers: list[int] = field(repr=False)
-    reached: list[int] = field(repr=False)
-    counters: list[list[int]] = field(repr=False)
-
-    def classes(self) -> Iterator[tuple[int, int, int, int]]:
-        """``(hop, count, targets, layer)`` for every nonempty count class,
-        hop ascending: ``targets`` is the bitset of the vertices that exactly
-        ``count`` starts reach at ``hop``, and target t's parents are
-        ``rows[t] & layer``. A layer's targets are split down the counter's
-        bit slices, so the cost is per class, not per target. A counter with
-        one slice never carried: every target it holds has count 1."""
-        for k, (layer, targets, counter) in enumerate(
-                zip(self.layers, self.reached, self.counters)):
-            if len(counter) == 1:
-                if targets:
-                    yield k + 2, 1, targets, layer
-                continue
-            parts = [(0, targets)]
-            for i, digit in enumerate(counter):
-                split = []
-                for count, bits in parts:
-                    if ones := bits & digit:
-                        split.append((count | 1 << i, ones))
-                    if zeros := bits & ~digit:
-                        split.append((count, zeros))
-                parts = split
-            for count, bits in parts:
-                yield k + 2, count, bits, layer
+    rows: list[int] = field(repr=False)
+    classes: list[tuple[int, int, int, int]] = field(repr=False)
 
     @cached_property
     def groups(self) -> tuple[tuple[Group, ...], ...]:
         rows = self.rows
         per_target: list[list[Group]] = [[] for _ in rows]
-        for hop, count, targets, layer in self.classes():
+        for hop, count, targets, layer in self.classes:
             for t in members(targets):
                 per_target[t].append(Group(hop, count, members(rows[t] & layer)))
         return tuple(map(tuple, per_target))
@@ -118,10 +88,9 @@ def aggregate_hp(g: Graph, v: int) -> HopParentIndex:
     without_v = ~(1 << v)  # v is deleted: it joins no layer
     off_v = ~rows[v]
 
-    # per layer k, merged over the starts: the union of L_k, the union of
-    # N(L_k), and per vertex the number of starts whose N(L_k) holds it
+    # per layer k, merged over the starts: the union of L_k, and per vertex
+    # the number of starts whose N(L_k) holds it
     layers: list[int] = []
-    reached: list[int] = []
     counters: list[list[int]] = []
     for s in g.adjacency[v]:
         frontier = seen = 1 << s
@@ -130,11 +99,9 @@ def aggregate_hp(g: Graph, v: int) -> HopParentIndex:
         while frontier:
             if k == len(layers):
                 layers.append(frontier)
-                reached.append(near)
                 counters.append([near])
             else:
                 layers[k] |= frontier
-                reached[k] |= near
                 # bit-sliced counter: counter[i] holds bit i of every vertex's
                 # count, so adding one to each vertex in ``near`` is a
                 # ripple-carry over the slices
@@ -163,4 +130,26 @@ def aggregate_hp(g: Graph, v: int) -> HopParentIndex:
                     rest ^= 1 << u
                 near &= without_v
 
-    return HopParentIndex(v, rows, layers, reached, counters)
+    # a layer's targets, split down its counter's bit slices: the cost is per
+    # class, not per target. A counter with one slice never carried: every
+    # target it holds has count 1
+    classes = []
+    for k, (layer, counter) in enumerate(zip(layers, counters)):
+        if len(counter) == 1:
+            if counter[0]:
+                classes.append((k + 2, 1, counter[0], layer))
+            continue
+        targets = 0
+        for digit in counter:
+            targets |= digit
+        parts = [(0, targets)]
+        for i, digit in enumerate(counter):
+            split = []
+            for count, bits in parts:
+                if ones := bits & digit:
+                    split.append((count | 1 << i, ones))
+                if zeros := bits & ~digit:
+                    split.append((count, zeros))
+            parts = split
+        classes.extend((k + 2, count, bits, layer) for count, bits in parts)
+    return HopParentIndex(rows, classes)

@@ -24,6 +24,7 @@ from __future__ import annotations
 from collections import Counter
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 from itertools import chain, combinations, takewhile
 from math import comb, gcd, isqrt, lcm
@@ -109,7 +110,9 @@ def _signature(index: HopParentIndex, totals: dict[int, int], primes: list[int])
     n = len(rows)
     num = [1] * n
     den = [1] * n
-    for hop, count, targets, layer in index.classes():
+    reached = 0
+    for hop, count, targets, layer in index.classes:
+        reached |= targets
         factor = primes[hop - 1] ** count
         while targets:
             t = targets.bit_length() - 1
@@ -130,9 +133,7 @@ def _signature(index: HopParentIndex, totals: dict[int, int], primes: list[int])
                 den[t] *= k * (k - 1) // 2
             else:
                 num[t] *= factor
-    unreached = (1 << n) - 1
-    for bits in index.reached:
-        unreached &= ~bits
+    unreached = ~reached & (1 << n) - 1
     while unreached:  # no group: the element is 0
         t = unreached.bit_length() - 1
         unreached ^= 1 << t
@@ -145,7 +146,10 @@ def _signature(index: HopParentIndex, totals: dict[int, int], primes: list[int])
         if key != last:  # equal keys are adjacent: format each one once
             last = key
             g = gcd(key, scale)
-            text = f"{key // g}/{scale // g}"
+            try:
+                text = f"{key // g}/{scale // g}"
+            except ValueError:  # past sys.get_int_max_str_digits(), which Decimal ignores
+                text = f"{Decimal(key // g)!s}/{Decimal(scale // g)!s}"
         out.append(text)
     return ",".join(out)
 

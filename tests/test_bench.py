@@ -37,7 +37,8 @@ def test_spec_parsing_permuted_is_isomorphic_relabeling():
 
 @pytest.mark.parametrize(
     "spec",
-    ["", "hypercube:3", "cycle", "cycle:x", "cycle:6:9", "permuted:z:cycle:6"],
+    ["", "hypercube:3", "cycle", "cycle:x", "cycle:6:9", "permuted:z:cycle:6",
+     "paley:1", "complete:0", "path:0"],
 )
 def test_spec_parsing_errors(spec):
     with pytest.raises(ValueError):
@@ -148,6 +149,12 @@ def test_row_error_is_isolated(tmp_path):
     assert reports[0].error and reports[0].rsvp == ""
     assert not reports[1].error and reports[1].rsvp_ok == "yes"
     assert "exceed the limit" in reports[2].error and reports[2].rsvp == ""
+
+
+def test_an_unknown_row_has_blank_agreement_cells():
+    report = run_row(ManifestRow("u", "gen:cycle:6", "gen:path:6", "unknown"))
+    assert not report.error and report.rsvp == "non-isomorphic"
+    assert report.wl_ok == report.rsvp_ok == ""
 
 
 def test_row_error_names_the_failing_file(tmp_path):

@@ -241,6 +241,11 @@ def test_compare_srg_pair_wl(graph_file, capsys):
     assert "possibly isomorphic (WL inconclusive)" in capsys.readouterr().out
 
 
+def test_compare_wl_separates_a_path_from_a_cycle(capsys):
+    assert main(["compare", "gen:path:4", "gen:cycle:4", "--method", "wl"]) == 1
+    assert capsys.readouterr().out.startswith("non-isomorphic")
+
+
 def test_compare_srg_pair_oracle(graph_file, capsys):
     a = graph_file("s.col", shrikhande())
     b = graph_file("r.col", rook(4))

@@ -3,19 +3,20 @@
 ``from rsvp import *`` raises ``AttributeError`` on a name in ``__all__`` that
 the package no longer binds, so a stale export only shows when someone uses
 the star import. Checking ``__all__`` stands in for a lint rule. So does the
-dead-API check: a public method or property of an exported class that
+dead-API check: a public field, method or property of an exported class that
 neither the package nor the benchmark reads is API kept alive by tests alone.
 """
 
 from __future__ import annotations
 
+import ast
+import dataclasses
 import inspect
-import io
-import tokenize
 from collections import Counter
 from functools import cached_property
 from pathlib import Path
 from types import ModuleType
+from typing import NamedTuple
 
 import rsvp
 
@@ -32,11 +33,18 @@ def export_faults(module: ModuleType) -> list[str]:
 
 
 def attribute_reads(path: Path) -> list[tuple[Path, int, str]]:
-    """Every ``x.name`` in the file, as (path, line, name)."""
-    tokens = list(tokenize.generate_tokens(io.StringIO(path.read_text()).readline))
-    return [(path.resolve(), tok.start[0], tok.string)
-            for dot, tok in zip(tokens, tokens[1:])
-            if dot.string == "." and tok.type == tokenize.NAME]
+    """Every ``x.name`` in the file, f-string fields included, as (path,
+    line, name)."""
+    return [(path.resolve(), node.lineno, node.attr)
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Attribute)]
+
+
+def _fields(cls) -> tuple[str, ...]:
+    """The field names of a dataclass or NamedTuple, () for any other class."""
+    if dataclasses.is_dataclass(cls):
+        return tuple(f.name for f in dataclasses.fields(cls))
+    return cls._fields if issubclass(cls, tuple) and hasattr(cls, "_fields") else ()
 
 
 def _function(member):
@@ -53,16 +61,19 @@ def _function(member):
 
 
 def unread_members(module: ModuleType, paths: list[Path]) -> list[str]:
-    """``Class.member`` for each public method or property of a class in
+    """``Class.member`` for each public field, method or property of a class in
     ``module.__all__`` that no file in ``paths`` reads as an attribute outside
     the member's own definition. Reads are matched by name, so a member that
     shares its name with any attribute read elsewhere counts as read."""
     reads = [read for path in paths for read in attribute_reads(path)]
+    read_names = {name for _, _, name in reads}
     unread = []
     for class_name in module.__all__:
         cls = getattr(module, class_name)
         if not inspect.isclass(cls):
             continue
+        unread += [f"{class_name}.{name}" for name in _fields(cls)
+                   if not name.startswith("_") and name not in read_names]
         for name, member in vars(cls).items():
             func = _function(member)
             if name.startswith("_") or func is None:
@@ -92,7 +103,12 @@ def test_no_public_member_is_read_by_tests_alone():
     assert unread_members(rsvp, READERS) == []
 
 
+@dataclasses.dataclass
 class Probe:
+    probe_field_read: int = 0
+    probe_field_unread: int = 0
+    _probe_field_private: int = 0
+
     def probe_read(self) -> None:
         pass
 
@@ -115,15 +131,25 @@ class Probe:
         pass
 
 
+class ProbePair(NamedTuple):
+    probe_first: int
+    probe_second: int
+
+
 def test_the_dead_api_check_sees_unread_members(tmp_path):
     reader = tmp_path / "reader.py"
-    reader.write_text("p = Probe.probe_made()\np.probe_read()\nprint(p.probe_shown)\n")
+    # the f-string reads count: Python 3.11 tokenizes an f-string as one string
+    reader.write_text("p = Probe.probe_made()\np.probe_read()\nprint(p.probe_shown)\n"
+                      "print(f'{p.probe_field_read} {ProbePair(1, 2).probe_first}')\n")
     module = ModuleType("fake")
     module.Probe = Probe
+    module.ProbePair = ProbePair
     module.value = 1
-    module.__all__ = ["Probe", "value"]
+    module.__all__ = ["Probe", "ProbePair", "value"]
     assert unread_members(module, [reader, Path(__file__)]) == [
-        "Probe.probe_unread", "Probe.probe_self_only"]
+        "Probe.probe_field_unread", "Probe.probe_unread", "Probe.probe_self_only",
+        "ProbePair.probe_second"]
     assert unread_members(module, [Path(__file__)]) == [
-        "Probe.probe_read", "Probe.probe_unread", "Probe.probe_self_only",
-        "Probe.probe_shown", "Probe.probe_made"]
+        "Probe.probe_field_read", "Probe.probe_field_unread", "Probe.probe_read",
+        "Probe.probe_unread", "Probe.probe_self_only", "Probe.probe_shown", "Probe.probe_made",
+        "ProbePair.probe_first", "ProbePair.probe_second"]

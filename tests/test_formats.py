@@ -47,6 +47,8 @@ def test_parse_dimacs_self_loop_names_line():
         ("p edge 2 1\nx 1 2", "line 2"),  # unknown line kind
         ("p edge 2 1\np edge 2 1", "line 2"),  # second header
         ("p foo 2 1", "line 1"),
+        ("p edge -3 2", "line 1: negative counts"),
+        ("p edge 2 1\ne 1 x", "line 2: non-integer vertex id"),
         ("e 1 2", "line 1"),
         ("", "missing"),
     ],
@@ -97,7 +99,7 @@ def test_parse_edge_list_comments_and_blank_lines():
 
 @pytest.mark.parametrize(
     "text",
-    ["", "x", "2\n0 0", "2\n0 2", "2\n0 1 9", "2\n0"],
+    ["", "x", "2\n0 0", "2\n0 2", "2\n0 1 9", "2\n0", "-3\n", "3 2\n0 1"],
 )
 def test_parse_edge_list_errors(text):
     with pytest.raises(ParseError):

@@ -162,6 +162,23 @@ def test_random_regular_dense_degrees(n, d):
         assert g == random_regular(n, d, seed)
 
 
+def test_a_dense_random_regular_draw_shuffles_no_stubs_of_its_own(monkeypatch):
+    # d = 16 > (n - 1) / 2: only the 3-regular complement's 60 stubs are
+    # shuffled, never the 320 of a pairing that could not come out simple
+    shuffled = []
+    shuffle = random.Random.shuffle
+
+    def recording(self, items):
+        shuffled.append(len(items))
+        shuffle(self, items)
+
+    monkeypatch.setattr(random.Random, "shuffle", recording)
+    g = random_regular(20, 16, seed=1)
+    assert set(g.degree_sequence()) == {16}
+    assert shuffled and set(shuffled) == {60}
+    assert set(g.edges()).isdisjoint(random_regular(20, 3, seed=1).edges())
+
+
 def test_random_regular_invalid_parameters():
     with pytest.raises(ValueError):
         random_regular(5, 3, seed=0)  # odd n*d

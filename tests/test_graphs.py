@@ -63,6 +63,10 @@ def test_edges_round_trip():
     assert g.edges() == [(0, 5), (1, 4), (2, 3)]
 
 
+def test_a_graph_equals_no_other_type():
+    assert Graph(1) != 1
+
+
 def test_permutation_rejects_non_bijection():
     with pytest.raises(ValueError):
         Permutation((0, 0, 2))

@@ -57,6 +57,12 @@ def test_start_must_be_a_neighbor():
         deleted_neighborhood_bfs(worked_example(), 0, 3)
 
 
+@pytest.mark.parametrize("v", [-1, 6])
+def test_aggregate_vertex_must_be_in_range(v):
+    with pytest.raises(ValueError, match="outside 0..5"):
+        aggregate_hp(worked_example(), v)
+
+
 def test_aggregate_worked_example_target_v3():
     hp = aggregate_hp(worked_example(), 0)
     assert hp.groups[2] == (Group(2, 2, (1, 5)), Group(4, 2, (1, 3, 5)))
@@ -64,7 +70,6 @@ def test_aggregate_worked_example_target_v3():
 
 def test_aggregate_source_target_is_empty():
     hp = aggregate_hp(worked_example(), 0)
-    assert hp.source == 0
     assert hp.groups[0] == ()
 
 
@@ -155,9 +160,7 @@ def test_tree_targets_have_one_shortest_route_group():
 @given(small_graphs())
 def test_bitset_kernel_matches_per_edge_reference(g):
     for v in range(g.n):
-        hp = aggregate_hp(g, v)
-        assert hp.source == v
-        assert hp.groups == reference_aggregate_hp(g, v).groups
+        assert aggregate_hp(g, v).groups == reference_aggregate_hp(g, v).groups
 
 
 @pytest.mark.parametrize(
@@ -198,27 +201,29 @@ def test_stranded_vertices_match_the_reference():
             assert aggregate_hp(g, v).groups == reference_aggregate_hp(g, v).groups
 
 
-@pytest.mark.parametrize(("g", "most_slices"),
-                         [(path(8), 1), (rook(6), 4), (Graph(4, [(0, 1), (0, 2), (0, 3)]), 1)],
+@pytest.mark.parametrize(("g", "largest_count"),
+                         [(path(8), 1), (rook(6), 10), (Graph(4, [(0, 1), (0, 2), (0, 3)]), 1)],
                          ids=["path8", "rook6", "star"])
-def test_classes_are_nonempty_and_match_the_counters(g, most_slices):
-    # one slice takes the shortcut in classes(), more take the split; the
-    # star centre's leaves reach nothing, which leaves a [0] counter
-    slices = set()
+def test_classes_are_nonempty_and_match_the_counters(g, largest_count):
+    # a path's counts are all 1, which takes the one-slice shortcut; rook(6)
+    # reaches counts of 8 or more, which need four slices; the star centre's
+    # leaves reach nothing, which leaves a layer with no class
+    counts = set()
     for v in range(g.n):
         hp = aggregate_hp(g, v)
-        seen = [0] * len(hp.layers)
-        for hop, count, targets, layer in hp.classes():
+        reference = reference_aggregate_hp(g, v).groups
+        hops = [hop for hop, _, _, _ in hp.classes]
+        assert hops == sorted(hops)
+        seen: dict[int, int] = {}
+        for hop, count, targets, layer in hp.classes:
             assert targets
-            k = hop - 2
-            assert layer == hp.layers[k]
-            assert not targets & seen[k]
-            seen[k] |= targets
+            assert not targets & seen.get(hop, 0)
+            seen[hop] = seen.get(hop, 0) | targets
             for t in members(targets):
-                assert sum((digit >> t & 1) << i
-                           for i, digit in enumerate(hp.counters[k])) == count
-        assert seen == hp.reached
-        slices.update(len(counter) for counter in hp.counters)
+                assert Group(hop, count, members(g.bits[t] & layer)) in reference[t]
+            counts.add(count)
+        assert sum(len(groups) for groups in reference) == sum(
+            len(members(targets)) for _, _, targets, _ in hp.classes)
         if len(g.adjacency[v]) == g.n - 1 == g.m:
-            assert hp.counters == [[0]]
-    assert max(slices) == most_slices
+            assert hp.classes == []
+    assert max(counts) == largest_count

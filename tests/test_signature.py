@@ -1,11 +1,15 @@
 from __future__ import annotations
 
 import hashlib
+import os
 import random
+import subprocess
+import sys
 from contextlib import contextmanager
 from fractions import Fraction
 from itertools import combinations
 from math import gcd
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -550,3 +554,25 @@ def test_verify_mapping_rejects_wrong_bijection():
     g = path(3)  # 0-1-2; swapping endpoints keeps it, moving the middle breaks it
     assert verify_mapping(g, g, Permutation((2, 1, 0)))
     assert not verify_mapping(g, g, Permutation((1, 0, 2)))
+
+
+# a hand-built index of the path 0 - 1 - 2 seen from 0, with one class of
+# 1000 starts at hop 2: target 2's element is 5**1000, 699 digits, a count no
+# graph reaches below degree 1000
+_LONG_ELEMENT = """
+from rsvp.reachability import HopParentIndex
+from rsvp.signature import _signature, odd_primes
+index = HopParentIndex([0b010, 0b101, 0b010], [(2, 1000, 0b100, 0b010)])
+print(_signature(index, {}, odd_primes(3)))
+"""
+
+
+def test_elements_past_the_int_to_str_digit_limit_are_written_exactly():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    out = {}
+    for limit in ("640", "0"):  # 640 is the lowest limit CPython accepts; 0 lifts it
+        env = dict(os.environ, PYTHONINTMAXSTRDIGITS=limit,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        out[limit] = subprocess.run([sys.executable, "-c", _LONG_ELEMENT], env=env,
+                                    capture_output=True, text=True, timeout=60, check=True).stdout
+    assert out["640"] == out["0"] == f"0/1,0/1,{5**1000}/1\n"
