@@ -41,7 +41,6 @@ from .signature import (
     Verdict,
     certificate,
     rsvp_compare,
-    vertex_signature,
 )
 
 __version__ = "0.1.0"
@@ -81,7 +80,6 @@ __all__ = [
     "to_dimacs",
     "to_edge_list",
     "verify_mapping",
-    "vertex_signature",
     "wl_compare",
     "worked_example",
 ]

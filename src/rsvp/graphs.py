@@ -4,9 +4,8 @@ that relabel them, and the graph-level helpers every other module shares."""
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from itertools import compress
-from typing import Iterable
+from typing import Iterable, Sequence
 
 # largest vertex count a reader or a generator spec accepts: a certificate
 # holds n² elements, so even an edgeless graph at the limit certifies to
@@ -115,36 +114,30 @@ class Graph:
         return f"Graph(n={self.n}, m={self.m})"
 
 
-@dataclass(frozen=True)
-class Permutation:
-    """Bijection on 0..n-1; ``mapping[i]`` is the image of vertex i."""
+class Permutation(tuple):
+    """Bijection on 0..n-1, as the tuple of images: ``p[i]`` is the image of
+    vertex i."""
 
-    mapping: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if sorted(self.mapping) != list(range(len(self.mapping))):
+    def __new__(cls, images: Iterable[int]) -> Permutation:
+        self = super().__new__(cls, images)
+        if sorted(self) != list(range(len(self))):
             raise ValueError("mapping is not a bijection on 0..n-1")
-
-    def __len__(self) -> int:
-        return len(self.mapping)
-
-    def __getitem__(self, i: int) -> int:
-        return self.mapping[i]
-
-    def __iter__(self):
-        return iter(self.mapping)
+        return self
 
     @classmethod
     def random(cls, n: int, rng: random.Random) -> Permutation:
         xs = list(range(n))
         rng.shuffle(xs)
-        return cls(tuple(xs))
+        return cls(xs)
 
 
-def permute(g: Graph, p: Permutation) -> Graph:
-    """Relabel ``g`` through ``p``: edge (u, w) becomes (p[u], p[w])."""
+def permute(g: Graph, p: Sequence[int]) -> Graph:
+    """Relabel ``g`` through the bijection ``p``: edge (u, w) becomes (p[u], p[w])."""
     if len(p) != g.n:
         raise ValueError(f"permutation size {len(p)} != vertex count {g.n}")
+    p = Permutation(p)
     return Graph(g.n, ((p[u], p[w]) for u in range(g.n) for w in g.adjacency[u] if u < w))
 
 
@@ -153,10 +146,11 @@ def disjoint_union(g: Graph, h: Graph) -> Graph:
     return Graph.__new__(Graph)._adopt(g.bits + [row << g.n for row in h.bits])
 
 
-def verify_mapping(g1: Graph, g2: Graph, f: Permutation) -> bool:
-    """True iff ``f`` maps edges to edges and non-edges to non-edges."""
+def verify_mapping(g1: Graph, g2: Graph, f: Sequence[int]) -> bool:
+    """True iff the bijection ``f`` maps edges to edges and non-edges to non-edges."""
     if len(f) != g1.n or g1.n != g2.n:
         raise ValueError("mapping size does not match the graphs")
+    f = Permutation(f)
     if g1.m != g2.m:
         return False
     # f is injective and the edge counts are equal, so edges to edges is

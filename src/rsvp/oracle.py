@@ -82,17 +82,15 @@ def find_isomorphism(g1: Graph, g2: Graph, budget: int | None = None,
     """
     if anchor is not None and anchor not in range(g2.n):
         raise ValueError(f"anchor must be a vertex of g2, 0..n-1 with n = {g2.n}; got {anchor!r}")
-    # equal degree sequences imply equal vertex and edge counts
-    if g1.degree_sequence() != g2.degree_sequence():
+    p1, p2 = _distance_profiles(g1), _distance_profiles(g2)
+    # refinement only splits classes, so unequal start histograms stay so;
+    # a profile starts with its vertex's degree (an isolated vertex's is
+    # empty), so equal histograms also mean equal n, degrees and m
+    if Counter(p1) != Counter(p2):
         return None
     n = g1.n
     if n == 0:
         return Permutation(())
-
-    p1, p2 = _distance_profiles(g1), _distance_profiles(g2)
-    # refinement only splits classes, so unequal start histograms stay so
-    if Counter(p1) != Counter(p2):
-        return None
     start: list = p1 + p2
     if anchor is not None:
         start = [(p, i in (0, n + anchor)) for i, p in enumerate(start)]
@@ -148,7 +146,7 @@ def find_isomorphism(g1: Graph, g2: Graph, budget: int | None = None,
             stack.append(extend(order[len(stack)]))
     else:
         return None
-    result = Permutation(tuple(mapping))
+    result = Permutation(mapping)
     if not verify_mapping(g1, g2, result):
         raise RuntimeError("oracle search produced a mapping that is not an isomorphism")
     return result

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from conftest import graph_pairs, random_graph, shuffled_copy
 from rsvp.formats import parse_dimacs, parse_edge_list, to_dimacs
 from rsvp.generators import complete, cycle, disjoint_union, path, paley, rook
-from rsvp.graphs import Graph, Permutation, permute
+from rsvp.graphs import Graph, Permutation, permute, verify_mapping
 
 
 def test_constructor_builds_sorted_adjacency():
@@ -77,9 +77,11 @@ def test_permutation_rejects_non_bijection():
 def test_permutation_inverse_and_identity():
     p = Permutation((2, 0, 1))
     inverse = Permutation(tuple(sorted(range(3), key=p.__getitem__)))
-    assert inverse.mapping == (1, 2, 0)
+    assert inverse == (1, 2, 0)
     assert [inverse[j] for j in p] == [0, 1, 2]
-    assert Permutation(tuple(range(3))).mapping == (0, 1, 2)
+    assert Permutation(tuple(range(3))) == (0, 1, 2)
+    # a permutation is the plain tuple of its images
+    assert Permutation((2, 0, 1)) == (2, 0, 1)
     assert list(p) == [2, 0, 1]
 
 
@@ -103,6 +105,13 @@ def test_permute_path_reversal():
 def test_permute_size_mismatch():
     with pytest.raises(ValueError):
         permute(path(3), Permutation((0, 1)))
+
+
+def test_permute_and_verify_mapping_refuse_a_non_bijection():
+    with pytest.raises(ValueError, match="not a bijection"):
+        permute(Graph(3, [(0, 1)]), (1, 2, 1))
+    with pytest.raises(ValueError, match="not a bijection"):
+        verify_mapping(path(3), path(3), (0, 1, 0))
 
 
 @settings(max_examples=40)

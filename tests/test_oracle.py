@@ -140,7 +140,8 @@ def test_srg_pair_is_non_isomorphic_with_witness():
 def test_size_gates():
     assert find_isomorphism(complete(3), complete(4)) is None
     assert find_isomorphism(complete(3), cycle(3)) is not None
-    # the degree sequences are the one gate: they differ with the edge count,
+    # the distance profile histograms are the one gate: they differ with the
+    # edge count,
     assert find_isomorphism(path(4), cycle(4)) is None
     # and also where n and m agree
     star = Graph(4, [(0, 1), (0, 2), (0, 3)])

@@ -160,6 +160,8 @@ def test_find_isomorphism_decides_different_profiles_without_refining(monkeypatc
     calls = count_refinements(monkeypatch, "rsvp.oracle")
     # both 2-regular; their distance-4 spheres differ
     assert find_isomorphism(cycle(16), disjoint_union(cycle(8), cycle(8)), budget=0) is None
+    # their degrees already differ
+    assert find_isomorphism(complete(3), path(3)) is None
     assert calls == []
     # equal profiles: refinement runs once, and then the search decides
     assert find_isomorphism(cycle(6), permute(cycle(6), Permutation((3, 1, 4, 0, 5, 2)))) is not None
