@@ -149,16 +149,17 @@ def parse_edge_list(text: str) -> Graph:
 
 def to_dimacs(g: Graph) -> str:
     """Serialize to DIMACS, edges ascending, 1-based, newline-terminated."""
-    lines = [f"p edge {g.n} {g.m}"]
-    lines.extend(f"e {u + 1} {w + 1}" for u, w in g.edges())
-    return "".join(line + "\n" for line in lines)
+    rows = ("".join(f"e {u + 1} {w + 1}\n" for w in sorted(row) if w > u)
+            for u, row in enumerate(g.adjacency))
+    return f"p edge {g.n} {g.m}\n" + "".join(rows)
 
 
 def to_edge_list(g: Graph) -> str:
-    """Serialize to the 0-based edge-list format, newline-terminated."""
-    lines = [str(g.n)]
-    lines.extend(f"{u} {w}" for u, w in g.edges())
-    return "".join(line + "\n" for line in lines)
+    """Serialize to the 0-based edge-list format, newline-terminated. Like
+    :func:`to_dimacs`, it joins one string per adjacency row, not m lines."""
+    rows = ("".join(f"{u} {w}\n" for w in sorted(row) if w > u)
+            for u, row in enumerate(g.adjacency))
+    return f"{g.n}\n" + "".join(rows)
 
 
 def sniff_format(text: str) -> str:

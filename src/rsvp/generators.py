@@ -6,7 +6,7 @@ import random
 from collections import Counter
 from collections.abc import Callable
 from functools import partial
-from itertools import chain, combinations
+from itertools import chain
 from math import comb, isqrt
 
 from .graphs import MAX_VERTICES, Graph, Permutation, disjoint_union, permute
@@ -114,8 +114,12 @@ def _repair_by_switches(n: int, d: int, stubs: list[int], rng: random.Random) ->
     """
     pairs = [_edge(stubs[i], stubs[i + 1]) for i in range(0, len(stubs), 2)]
     count = Counter(pairs)
+    bad = [i for i, (u, w) in enumerate(pairs) if u == w or count[u, w] > 1]
     for _ in range(_SWITCHES_PER_PAIR * len(pairs)):
-        bad = [i for i, (u, w) in enumerate(pairs) if u == w or count[u, w] > 1]
+        # a kept switch makes two pairs good and none bad, so the highest bad
+        # index is the last listed one still bad: pop the repaired ones above it
+        while bad and (pair := pairs[bad[-1]])[0] < pair[1] and count[pair] == 1:
+            bad.pop()
         if not bad:
             return Graph(n, pairs)
         i, j = bad[-1], rng.randrange(len(pairs))
@@ -133,35 +137,32 @@ def _repair_by_switches(n: int, d: int, stubs: list[int], rng: random.Random) ->
 
 def random_regular(n: int, d: int, seed: int) -> Graph:
     """Random d-regular graph via the pairing model, rejecting pairings with
-    loops or repeated edges. For d > (n - 1) / 2, where a pairing almost
-    never comes out simple, it is the complement of the (n - 1 - d)-regular
-    graph the same seed draws. If every attempt fails (likely for d >= 6),
-    the last pairing is repaired by double-edge switches; the result is still
-    a function of the seed alone, though no longer exactly uniform."""
+    loops or repeated edges, caught in each attempt's bitset rows. For
+    d > (n - 1) / 2, where a pairing almost never comes out simple, the rows
+    are the complement of those of the (n - 1 - d)-regular graph the same seed
+    draws. If every attempt fails (likely for d >= 6), the last pairing is
+    repaired by double-edge switches: a function of the seed, not exactly uniform."""
     if not 0 <= d < n:
         raise ValueError(f"degree d={d} outside 0..{n - 1}")
     if n * d % 2:
         raise ValueError(f"n*d = {n * d} is odd; no {d}-regular graph on {n} vertices")
     if 2 * d > n - 1:
-        complement = set(random_regular(n, n - 1 - d, seed).edges())
-        return Graph(n, (e for e in combinations(range(n), 2) if e not in complement))
-    if d == 0:
-        return Graph(n)
+        full = (1 << n) - 1
+        sparse = random_regular(n, n - 1 - d, seed).bits
+        return Graph.__new__(Graph)._adopt([full ^ 1 << v ^ row for v, row in enumerate(sparse)])
     rng = random.Random(seed)
     stubs = [v for v in range(n) for _ in range(d)]
     for _ in range(_REGULAR_PAIRING_ATTEMPTS):
         rng.shuffle(stubs)
-        edges: set[tuple[int, int]] = set()
+        rows = [0] * n
         for i in range(0, len(stubs), 2):
             u, w = stubs[i], stubs[i + 1]
-            if u == w:
+            if u == w or rows[u] >> w & 1:
                 break
-            key = _edge(u, w)
-            if key in edges:
-                break
-            edges.add(key)
+            rows[u] |= 1 << w
+            rows[w] |= 1 << u
         else:
-            return Graph(n, edges)
+            return Graph.__new__(Graph)._adopt(rows)
     return _repair_by_switches(n, d, stubs, rng)
 
 

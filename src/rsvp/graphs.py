@@ -54,7 +54,8 @@ class Graph:
     def _adopt(self, rows: list[int]) -> Graph:
         """Take ``rows``, trusted to be symmetric and loop-free, as ``bits``
         and derive the rest: the one tail of ``Graph(n, edges)``, which checks
-        each edge first, and of ``disjoint_union`` and the readers."""
+        each edge first, and of ``disjoint_union``, the readers and
+        ``random_regular``."""
         self.n = n = len(rows)
         ids = list(range(n))
         # one C pass over a row's n digits beats a step per neighbour once
@@ -151,9 +152,4 @@ def verify_mapping(g1: Graph, g2: Graph, f: Sequence[int]) -> bool:
     if len(f) != g1.n or g1.n != g2.n:
         raise ValueError("mapping size does not match the graphs")
     f = Permutation(f)
-    if g1.m != g2.m:
-        return False
-    # f is injective and the edge counts are equal, so edges to edges is
-    # enough: it leaves no g2 edge for a g1 non-edge to map onto
-    rows2 = g2.bits
-    return all(rows2[f[u]] >> f[w] & 1 for u, w in g1.edges())
+    return all(g2.bits[f[u]] == sum(1 << f[w] for w in row) for u, row in enumerate(g1.adjacency))

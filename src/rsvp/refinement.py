@@ -36,6 +36,8 @@ def _refine_once(g: Graph, colors: list[int]) -> list[int]:
 def color_refinement(g: Graph, start: Sequence = ()) -> Coloring:
     """Refine ``start``'s sortable vertex labels, else a uniform start, until no class splits."""
     colors = list(start) or [0] * g.n
+    if len(colors) != g.n:
+        raise ValueError(f"start has {len(colors)} labels for {g.n} vertices")
     count = len(set(colors))
     rounds = 0
     while g.n:

@@ -1,7 +1,11 @@
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
 from functools import cache
+from pathlib import Path
 
 from hypothesis import strategies as st
 
@@ -17,6 +21,28 @@ from rsvp.generators import (
     shrikhande,
 )
 from rsvp.graphs import Graph, Permutation, permute
+
+
+# a small wrapper runs the code in a grandchild, so RUSAGE_CHILDREN reads that
+# process's peak alone: a child forked from the test process would carry the
+# test process's own peak RSS over into its ru_maxrss
+_PEAK_RSS = """
+import resource, subprocess, sys
+subprocess.run([sys.executable, "-c", sys.argv[1]], check=True, stdout=subprocess.DEVNULL)
+print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)
+"""
+
+
+def peak_rss_mb(code: str) -> float:
+    """Peak RSS in MB of a fresh interpreter that runs ``code``, with this
+    checkout's ``src`` importable and its standard output discarded."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", _PEAK_RSS, code], env=env,
+                          capture_output=True, text=True, timeout=120, check=True)
+    # ru_maxrss counts KiB, bytes on macOS
+    return int(done.stdout) / (2**20 if sys.platform == "darwin" else 2**10)
 
 
 def shuffled_copy(g: Graph, rng: random.Random) -> Graph:

@@ -12,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+from conftest import peak_rss_mb
 from rsvp.cli import main
 from rsvp.formats import MAX_VERTICES, parse_dimacs, parse_edge_list, to_dimacs, to_edge_list
 from rsvp.generators import (cycle, graph_from_spec, paley, path, random_gnm, rook, shrikhande,
@@ -71,6 +72,14 @@ def test_gen_rejects_leftover_params(capsys):
 def test_gen_writes_the_dimacs_text_of_its_spec(spec, capsys):
     assert main(["gen", *spec.split(":")]) == 0
     assert capsys.readouterr().out == to_dimacs(graph_from_spec(spec))
+
+
+@pytest.mark.parametrize("fmt", ["dimacs", "edgelist"])
+def test_gen_writes_a_dense_graph_without_a_list_of_its_edges(fmt):
+    # m = 1,124,250: the 15 MB text is built one adjacency row at a time;
+    # the sorted edge tuples and their line strings took about 200 MB
+    write = f"from rsvp.cli import main; main(['gen', 'complete:1500', '--format', '{fmt}'])"
+    assert peak_rss_mb(write) < 100
 
 
 def test_an_oversized_spec_is_named_once_by_every_command(tmp_path, capsys):

@@ -1,11 +1,13 @@
 from __future__ import annotations
 
 import io
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import shuffled_copy
 from rsvp.formats import (
     MAX_VERTICES,
     GraphFormatWarning,
@@ -18,7 +20,7 @@ from rsvp.formats import (
     to_dimacs,
     to_edge_list,
 )
-from rsvp.generators import complete, graph_from_spec, shrikhande
+from rsvp.generators import complete, graph_from_spec, paley, random_gnm, shrikhande, worked_example
 from rsvp.graphs import Graph
 
 
@@ -114,6 +116,16 @@ def test_parse_edge_list_duplicates_warn():
 
 def test_to_dimacs_fixed_serialization():
     assert to_dimacs(complete(2)) == "p edge 2 1\ne 1 2\n"
+
+
+def test_writers_ignore_adjacency_storage_order():
+    assert to_edge_list(shuffled_copy(worked_example(), random.Random(1))) == (
+        "6\n0 1\n0 5\n1 2\n2 3\n2 5\n3 4\n4 5\n")
+    rng = random.Random(3)
+    for g in (worked_example(), paley(13), random_gnm(30, 120, 4), Graph(3)):
+        h = shuffled_copy(g, rng)
+        assert to_dimacs(h) == to_dimacs(g)
+        assert to_edge_list(h) == to_edge_list(g)
 
 
 def test_round_trip_dimacs_on_shrikhande():

@@ -1,16 +1,12 @@
 from __future__ import annotations
 
-import os
 import random
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import graph_pairs, random_graph, shuffled_copy
+from conftest import graph_pairs, peak_rss_mb, random_graph, shuffled_copy
 from rsvp.formats import parse_dimacs, parse_edge_list, to_dimacs
 from rsvp.generators import complete, cycle, disjoint_union, path, paley, rook
 from rsvp.graphs import Graph, Permutation, permute, verify_mapping
@@ -114,6 +110,20 @@ def test_permute_and_verify_mapping_refuse_a_non_bijection():
         verify_mapping(path(3), path(3), (0, 1, 0))
 
 
+@settings(max_examples=150, deadline=None)
+@given(graph_pairs(), st.integers(0, 2**30))
+def test_verify_mapping_is_the_edge_set_definition(pair, seed):
+    g, h = pair
+    if g.n != h.n:
+        return
+    rng = random.Random(seed)
+    twin = shuffled_copy(permute(g, p := Permutation.random(g.n, rng)), rng)
+    assert verify_mapping(g, twin, p)
+    f = Permutation.random(g.n, rng)
+    image = {tuple(sorted((f[u], f[w]))) for u, w in g.edges()}
+    assert verify_mapping(g, h, f) == (image == set(h.edges()))
+
+
 @settings(max_examples=40)
 @given(st.integers(0, 2**30), st.integers(2, 10))
 def test_permute_then_inverse_restores(seed, n):
@@ -188,24 +198,8 @@ def test_second_neighbour_bits_count_common_neighbours():
                 assert once[s] >> w & 1 == (common == 1)
 
 
-# a small wrapper runs the load in a grandchild, so RUSAGE_CHILDREN reads that
-# process's peak alone: a child forked from the test process would carry the
-# test process's own peak RSS over into its ru_maxrss
-_PEAK_RSS = """
-import resource, subprocess, sys
-subprocess.run([sys.executable, "-c", sys.argv[1]], check=True)
-print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)
-"""
-
-
 def test_a_dense_graph_loads_without_copies_of_its_edge_set():
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    # m = 1,124,250, so a set of the edge tuples alone takes 125 MB, and the
+    # bitset rows 281 KB
     load = "from rsvp.generators import graph_from_spec; graph_from_spec('complete:1500')"
-    done = subprocess.run([sys.executable, "-c", _PEAK_RSS, load], env=env,
-                          capture_output=True, text=True, timeout=120, check=True)
-    # ru_maxrss counts KiB, bytes on macOS; m = 1,124,250, so a set of the
-    # edge tuples alone takes 125 MB, and the bitset rows 281 KB
-    peak_mb = int(done.stdout) / (2**20 if sys.platform == "darwin" else 2**10)
-    assert peak_mb < 100
+    assert peak_rss_mb(load) < 100

@@ -123,6 +123,14 @@ def test_refinement_matches_the_reference_on_small_graphs(g, data):
     assert_matches_reference(g, data.draw(st.integers(0, g.n - 1)))
 
 
+def test_a_start_of_the_wrong_length_is_refused():
+    # unchecked, one label too many refines to the unstable (0, 1, 1, 1, 0)
+    # and one too few raises a bare IndexError
+    for start in ([0] * 5 + [1], [0, 1]):
+        with pytest.raises(ValueError, match=f"start has {len(start)} labels for 5 vertices"):
+            color_refinement(path(5), start)
+
+
 def test_a_stable_start_takes_one_round():
     stable = color_refinement(path(5))
     assert stable.rounds == 3  # degree split, centre split, no split

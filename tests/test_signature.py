@@ -546,6 +546,9 @@ def test_verify_mapping_identity_and_mismatch():
     identity = Permutation((0, 1, 2))
     assert verify_mapping(g, g, identity)
     assert not verify_mapping(complete(3), path(3), identity)
+    # every edge of the path maps onto an edge of the triangle, whose third
+    # edge has no preimage
+    assert not verify_mapping(path(3), complete(3), identity)
     with pytest.raises(ValueError):
         verify_mapping(complete(3), complete(2), identity)
 
