@@ -29,10 +29,11 @@ from __future__ import annotations
 import argparse
 import hashlib
 import sys
+from contextlib import nullcontext
 
 from .bench import (builtin_manifest, format_csv, format_table, load_manifest,
                     resolve_graph_ref, run_bench, summary_line)
-from .formats import ParseError, to_dimacs, to_edge_list
+from .formats import ParseError, _text
 from .oracle import ORACLE_SIZE_LIMIT, find_isomorphism
 from .refinement import WLVerdict, wl_compare
 from .signature import CertificatesEqual, certificate, rsvp_compare
@@ -91,12 +92,9 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 def cmd_gen(args: argparse.Namespace) -> int:
     graph = resolve_graph_ref(":".join(["gen", args.family, *args.params]))
-    text = to_edge_list(graph) if args.format == "edgelist" else to_dimacs(graph)
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(text)
-    else:
-        sys.stdout.write(text)
+    # row by row, so the whole text is never held
+    with open(args.output, "w", encoding="utf-8") if args.output else nullcontext(sys.stdout) as out:
+        out.writelines(_text(graph, args.format))
     return 0
 
 

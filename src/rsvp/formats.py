@@ -18,6 +18,10 @@ disagrees with the deduplicated count also warns and the actual count wins.
 Structural violations (self-loops, ids out of range, malformed lines) raise
 :class:`ParseError` naming the offending line number, and so does a declared
 vertex count above ``MAX_VERTICES``, before anything is allocated for it.
+
+A reader takes the whole text, a text stream, which it reads a block at a
+time, or the lines of the text. Either way the lines and their numbers are
+those ``str.splitlines`` gives the whole text.
 """
 
 from __future__ import annotations
@@ -25,7 +29,11 @@ from __future__ import annotations
 import re
 import sys
 import warnings
+from collections.abc import Iterable, Iterator
+from functools import partial
+from itertools import chain, repeat
 from pathlib import Path
+from typing import TextIO
 
 from .graphs import MAX_VERTICES, Graph
 
@@ -40,6 +48,33 @@ class GraphFormatWarning(UserWarning):
 
 def _warn(message: str) -> None:
     warnings.warn(GraphFormatWarning(message), stacklevel=3)
+
+
+# the characters at which str.splitlines ends a line, but for "\r", after
+# which a "\n" would still belong to the same line break
+_ENDS = "\n\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+
+
+def _blocks(stream: TextIO) -> Iterator[list[str]]:
+    """The lines of a text stream, one list per 64 Ki characters read; a
+    block's last line, unless a line break ends it, waits for the next."""
+    carry = ""
+    for block in iter(partial(stream.read, 1 << 16), ""):
+        lines = (carry + block).splitlines()
+        carry = "" if block[-1] in _ENDS else lines.pop()
+        if block[-1] == "\r":
+            carry += "\r"
+        yield lines
+    yield carry.splitlines()
+
+
+def _lines(text: str | Iterable[str]) -> Iterable[str]:
+    """The lines of ``text``, the whole text, a text stream or its lines."""
+    if isinstance(text, str):
+        return text.splitlines()
+    if hasattr(text, "read"):
+        return chain.from_iterable(_blocks(text))
+    return text
 
 
 def _counts(tokens: list[str], lineno: int, name: str) -> list[int]:
@@ -76,7 +111,7 @@ def _add_edge(rows: list[int], lineno: int, u_token: str, w_token: str,
     return 0
 
 
-def parse_dimacs(text: str) -> Graph:
+def parse_dimacs(text: str | Iterable[str]) -> Graph:
     """Parse DIMACS ``p edge`` format into a :class:`Graph`."""
     n: int | None = None
     declared_m = 0
@@ -84,7 +119,7 @@ def parse_dimacs(text: str) -> Graph:
     duplicates = 0
     colored_lines = 0
 
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(_lines(text), start=1):
         tokens = raw.split()
         if not tokens or tokens[0] == "c":
             continue
@@ -120,13 +155,13 @@ def parse_dimacs(text: str) -> Graph:
     return g
 
 
-def parse_edge_list(text: str) -> Graph:
+def parse_edge_list(text: str | Iterable[str]) -> Graph:
     """Parse the 0-based edge-list format into a :class:`Graph`."""
     n: int | None = None
     rows: list[int] = []
     duplicates = 0
 
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(_lines(text), start=1):
         tokens = raw.split("#", 1)[0].split()
         if not tokens:
             continue
@@ -147,19 +182,25 @@ def parse_edge_list(text: str) -> Graph:
     return Graph.__new__(Graph)._adopt(rows)
 
 
+def _text(g: Graph, fmt: str) -> Iterator[str]:
+    """The text of ``g`` in ``fmt``, ``"dimacs"`` or ``"edgelist"``: its
+    header, then one string per adjacency row, that row's edges to higher ids
+    ascending, so no string holds more than one row."""
+    dimacs = fmt == "dimacs"
+    yield f"p edge {g.n} {g.m}\n" if dimacs else f"{g.n}\n"
+    prefix, base = ("e ", 1) if dimacs else ("", 0)
+    for u, row in enumerate(g.adjacency):
+        yield "".join([f"{prefix}{u + base} {w + base}\n" for w in sorted(row) if w > u])
+
+
 def to_dimacs(g: Graph) -> str:
     """Serialize to DIMACS, edges ascending, 1-based, newline-terminated."""
-    rows = ("".join(f"e {u + 1} {w + 1}\n" for w in sorted(row) if w > u)
-            for u, row in enumerate(g.adjacency))
-    return f"p edge {g.n} {g.m}\n" + "".join(rows)
+    return "".join(_text(g, "dimacs"))
 
 
 def to_edge_list(g: Graph) -> str:
-    """Serialize to the 0-based edge-list format, newline-terminated. Like
-    :func:`to_dimacs`, it joins one string per adjacency row, not m lines."""
-    rows = ("".join(f"{u} {w}\n" for w in sorted(row) if w > u)
-            for u, row in enumerate(g.adjacency))
-    return f"{g.n}\n" + "".join(rows)
+    """Serialize to the 0-based edge-list format, newline-terminated."""
+    return "".join(_text(g, "edgelist"))
 
 
 def sniff_format(text: str) -> str:
@@ -171,20 +212,25 @@ def sniff_format(text: str) -> str:
     return "dimacs" if first.group() in ("c", "p", "e", "n") else "edgelist"
 
 
-def parse_graph(text: str) -> Graph:
-    """Parse ``text`` in the format :func:`sniff_format` names.
+def parse_graph(text: str | Iterable[str]) -> Graph:
+    """Parse ``text`` in the format :func:`sniff_format` names for its first
+    significant line, which is read ahead and handed on with the rest.
 
     One leading byte order mark (U+FEFF, as some Windows editors write) is
     dropped first.
     """
-    text = text.removeprefix("\ufeff")
-    if sniff_format(text) == "dimacs":
-        return parse_dimacs(text)
-    return parse_edge_list(text)
+    lines = iter(_lines(text))
+    first = next(lines, "").removeprefix("\ufeff")
+    blanks = 0
+    while not first.strip() and (line := next(lines, None)) is not None:
+        first, blanks = line, blanks + 1
+    reader = parse_dimacs if sniff_format(first) == "dimacs" else parse_edge_list
+    return reader(chain(repeat("", blanks), [first], lines))
 
 
 def load_graph(source: str | Path) -> Graph:
     """Read a graph from a file path, or from standard input when ``-``."""
     if str(source) == "-":
-        return parse_graph(sys.stdin.read())
-    return parse_graph(Path(source).read_text(encoding="utf-8"))
+        return parse_graph(sys.stdin)
+    with open(source, encoding="utf-8") as stream:
+        return parse_graph(stream)

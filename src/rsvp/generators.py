@@ -174,13 +174,11 @@ def worked_example() -> Graph:
 
 
 # family -> (generator, number of integer parameters in a spec, vertex count
-# of those parameters); disjoint_union takes two graphs, given in a spec as
-# two nested specs
+# of those parameters)
 _FAMILIES = {
     "cycle": (cycle, 1, lambda k: k),
     "complete": (complete, 1, lambda k: k),
     "path": (path, 1, lambda k: k),
-    "disjoint_union": (disjoint_union, 0, None),
     "rook": (rook, 1, lambda k: max(k, 0) ** 2),
     "shrikhande": (shrikhande, 0, lambda: 16),
     "paley": (paley, 1, lambda q: q),
@@ -211,15 +209,15 @@ def _parse_spec(tokens: list[str]) -> tuple[int, Callable[[], Graph], list[str]]
         (seed,), rest = _spec_ints(family, rest, 1)
         n, build, rest = _parse_spec(rest)
         return n, lambda: permute(build(), Permutation.random(n, random.Random(seed))), rest
-    try:
-        fn, arity, order = _FAMILIES[family]
-    except KeyError:
-        known = ", ".join(sorted([*_FAMILIES, "permuted"]))
-        raise ValueError(f"unknown family {family!r}; known: {known}") from None
-    if fn is disjoint_union:
+    if family == "disjoint_union":  # two graphs, given as two nested specs
         n_a, build_a, rest = _parse_spec(rest)
         n_b, build_b, rest = _parse_spec(rest)
         return n_a + n_b, lambda: disjoint_union(build_a(), build_b()), rest
+    try:
+        fn, arity, order = _FAMILIES[family]
+    except KeyError:
+        known = ", ".join(sorted([*_FAMILIES, "disjoint_union", "permuted"]))
+        raise ValueError(f"unknown family {family!r}; known: {known}") from None
     params, rest = _spec_ints(family, rest, arity)
     return order(*params), partial(fn, *params), rest
 

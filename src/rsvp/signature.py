@@ -34,7 +34,7 @@ from math import comb, gcd, isqrt, lcm
 from .distances import distance_matrix  # noqa: F401
 from .graphs import Graph, Permutation
 from .oracle import SearchBudgetExceeded, find_isomorphism
-from .reachability import Group, HopParentIndex, aggregate_hp
+from .reachability import Group, HopParentIndex, aggregate_hp, members
 
 
 def odd_primes(count: int) -> list[int]:
@@ -133,10 +133,7 @@ def _signature(index: HopParentIndex, totals: dict[int, int], primes: list[int])
                 den[t] *= k * (k - 1) // 2
             else:
                 num[t] *= factor
-    unreached = ~reached & (1 << n) - 1
-    while unreached:  # no group: the element is 0
-        t = unreached.bit_length() - 1
-        unreached ^= 1 << t
+    for t in members(~reached & (1 << n) - 1):  # no group: the element is 0
         num[t] = 0
     scale = lcm(*den)
     keys = sorted([a * (scale // b) for a, b in zip(num, den)])

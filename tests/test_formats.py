@@ -2,12 +2,14 @@ from __future__ import annotations
 
 import io
 import random
+import warnings
+from itertools import cycle
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import shuffled_copy
+from conftest import peak_rss_mb, shuffled_copy
 from rsvp.formats import (
     MAX_VERTICES,
     GraphFormatWarning,
@@ -214,3 +216,65 @@ def test_load_graph_from_file_and_stdin(tmp_path, monkeypatch):
 
     monkeypatch.setattr("sys.stdin", io.StringIO("3\n0 1\n"))
     assert load_graph("-").n == 3
+
+
+class _Trickle:
+    """A text stream whose reads return a few characters at a time, so that
+    lines and their breaks, CR LF among them, fall across read blocks."""
+
+    def __init__(self, text: str, sizes: list[int]) -> None:
+        self.rest, self.sizes = text, cycle(sizes)
+
+    def read(self, size: int) -> str:
+        cut = min(size, next(self.sizes))
+        piece, self.rest = self.rest[:cut], self.rest[cut:]
+        return piece
+
+
+def _outcome(reader, source):
+    """The graph ``reader`` makes of ``source``, or its error message, and
+    the messages of its warnings."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            result = reader(source)
+        except ParseError as exc:
+            result = str(exc)
+    return result, [str(warning.message) for warning in caught]
+
+
+# lines of either format, and every line boundary str.splitlines knows
+_STREAM_PIECES = st.sampled_from([
+    "p edge 3 2", "e 1 2", "e 2 3", "e 1 1", "c x", "n 1 1", "3", "0 1", "1 2", "# x", "x",
+    " ", "\t", "\n", "\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85",
+    "\u2028", "\u2029", "\ufeff",
+])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(["", "p edge 3 2\n", "3\n"]), st.lists(_STREAM_PIECES, max_size=12),
+       st.lists(st.integers(1, 5), min_size=1, max_size=4))
+def test_a_stream_read_in_pieces_parses_as_its_whole_text(head, pieces, sizes):
+    text = head + "".join(pieces)
+    for reader in (parse_dimacs, parse_edge_list, parse_graph):
+        assert _outcome(reader, _Trickle(text, sizes)) == _outcome(reader, text)
+
+
+def test_a_crlf_across_two_read_blocks_is_one_line_break():
+    # streams are read 64 Ki characters at a time: the CR that ends the
+    # first block and the LF that starts the second end one line
+    header = "p edge 2 1\r\n"
+    text = header + "c " + "x" * (2**16 - len(header) - 3) + "\r\ne 1 1\r\n"
+    assert text.index("\r\ne 1") == 2**16 - 1
+    with pytest.raises(ParseError, match="^line 3: self-loop 'e 1 1'$"):
+        parse_graph(io.StringIO(text))
+
+
+@pytest.mark.parametrize("serializer", [to_dimacs, to_edge_list])
+def test_a_dense_graph_file_loads_without_its_whole_text(serializer, tmp_path):
+    # m = 1,124,250: the 15 MB text of complete:1500, read whole and split
+    # into a list of lines, peaked at about 104 MB; read a block at a time,
+    # the load holds one block of lines next to the graph
+    target = tmp_path / "k1500.txt"
+    target.write_text(serializer(complete(1500)), encoding="utf-8")
+    assert peak_rss_mb(f"from rsvp.formats import load_graph; load_graph({str(target)!r})") < 50

@@ -106,6 +106,8 @@ def test_random_gnm_exact_counts_and_determinism():
     assert g != random_gnm(20, 35, seed=6)
     with pytest.raises(ValueError):
         random_gnm(4, 7, seed=0)
+    with pytest.raises(ValueError, match="^n must be >= 0$"):
+        random_gnm(-1, 0, seed=1)
 
 
 def _random_gnm_from_pair_list(n: int, m: int, seed: int) -> Graph:

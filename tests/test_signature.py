@@ -472,6 +472,24 @@ def test_the_anchored_search_proves_twins_the_first_search_misses(monkeypatch, b
     assert verify_mapping(g, h, verdict.mapping)
 
 
+def test_a_failed_anchor_falls_back_to_counting_off_the_signatures(monkeypatch):
+    # K3 + K2 + K1 against P5 + K1: equal degree sequences, and g's vertex-0
+    # signature occurs in h, so a search anchored on it runs; it finds
+    # nothing, and counting the multisets off finds a signature of h that g
+    # does not have
+    g = Graph(6, [(0, 5), (1, 2), (1, 3), (2, 3)])
+    h = Graph(6, [(0, 2), (1, 2), (1, 3), (3, 5)])
+    anchors = []
+
+    def searching(g1, g2, budget=None, anchor=None):
+        anchors.append(anchor)
+        return find_isomorphism(g1, g2, budget=budget, anchor=anchor)
+
+    monkeypatch.setattr("rsvp.signature.find_isomorphism", searching)
+    assert rsvp_compare(g, h) == NonIsomorphic("certificates differ")
+    assert anchors == [None, 4]
+
+
 def test_a_failed_anchor_falls_back_without_computing_a_signature_twice(monkeypatch):
     # on a relabeled paley:29 both searches run out, so the multisets are
     # counted off in full: each of the 2n signatures exactly once
