@@ -33,7 +33,7 @@ from contextlib import nullcontext
 
 from .bench import (builtin_manifest, format_csv, format_table, load_manifest,
                     resolve_graph_ref, run_bench, summary_line)
-from .formats import ParseError, _text
+from .formats import _text
 from .oracle import ORACLE_SIZE_LIMIT, find_isomorphism
 from .refinement import WLVerdict, wl_compare
 from .signature import CertificatesEqual, certificate, rsvp_compare
@@ -76,12 +76,8 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
     size = max(a.n, b.n)
     if size > ORACLE_SIZE_LIMIT and not args.force:
-        print(
-            f"error: oracle search refused for n={size} "
-            f"(limit {ORACLE_SIZE_LIMIT}); pass --force to override",
-            file=sys.stderr,
-        )
-        return 2
+        raise ValueError(f"oracle search refused for n={size} "
+                         f"(limit {ORACLE_SIZE_LIMIT}); pass --force to override")
     # find_isomorphism verifies its mapping or raises
     if find_isomorphism(a, b) is None:
         print("non-isomorphic")
@@ -158,7 +154,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ParseError, OSError, ValueError, RuntimeError) as exc:
+    except (OSError, ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -31,7 +31,7 @@ import sys
 import warnings
 from collections.abc import Iterable, Iterator
 from functools import partial
-from itertools import chain, repeat
+from itertools import chain
 from pathlib import Path
 from typing import TextIO
 
@@ -220,12 +220,11 @@ def parse_graph(text: str | Iterable[str]) -> Graph:
     dropped first.
     """
     lines = iter(_lines(text))
-    first = next(lines, "").removeprefix("\ufeff")
-    blanks = 0
-    while not first.strip() and (line := next(lines, None)) is not None:
-        first, blanks = line, blanks + 1
-    reader = parse_dimacs if sniff_format(first) == "dimacs" else parse_edge_list
-    return reader(chain(repeat("", blanks), [first], lines))
+    head = [next(lines, "").removeprefix("\ufeff")]
+    while not head[-1].strip() and (line := next(lines, None)) is not None:
+        head.append(line)
+    reader = parse_dimacs if sniff_format(head[-1]) == "dimacs" else parse_edge_list
+    return reader(chain(head, lines))
 
 
 def load_graph(source: str | Path) -> Graph:

@@ -9,7 +9,7 @@ profile, so most regular graphs split before any candidate is tried.
 
 from __future__ import annotations
 
-from collections import Counter, deque
+from collections import Counter
 from collections.abc import Iterator
 
 from .graphs import Graph, Permutation, disjoint_union, verify_mapping
@@ -33,18 +33,19 @@ def _bfs_order(g: Graph) -> list[int]:
     # connected as possible so adjacency pruning bites early
     seen = [False] * g.n
     order: list[int] = []
+    head = 0  # the order is its own queue: order[head:] is seen, not expanded
     for root in range(g.n):
         if seen[root]:
             continue
         seen[root] = True
-        queue = deque([root])
-        while queue:
-            u = queue.popleft()
-            order.append(u)
+        order.append(root)
+        while head < len(order):
+            u = order[head]
+            head += 1
             for w in g.adjacency[u]:
                 if not seen[w]:
                     seen[w] = True
-                    queue.append(w)
+                    order.append(w)
     return order
 
 

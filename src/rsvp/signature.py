@@ -34,7 +34,7 @@ from math import comb, gcd, isqrt, lcm
 from .distances import distance_matrix  # noqa: F401
 from .graphs import Graph, Permutation
 from .oracle import SearchBudgetExceeded, find_isomorphism
-from .reachability import Group, HopParentIndex, aggregate_hp, members
+from .reachability import Group, HopParentIndex, aggregate_hp
 
 
 def odd_primes(count: int) -> list[int]:
@@ -110,9 +110,7 @@ def _signature(index: HopParentIndex, totals: dict[int, int], primes: list[int])
     n = len(rows)
     num = [1] * n
     den = [1] * n
-    reached = 0
     for hop, count, targets, layer in index.classes:
-        reached |= targets
         factor = primes[hop - 1] ** count
         while targets:
             t = targets.bit_length() - 1
@@ -133,10 +131,11 @@ def _signature(index: HopParentIndex, totals: dict[int, int], primes: list[int])
                 den[t] *= k * (k - 1) // 2
             else:
                 num[t] *= factor
-    for t in members(~reached & (1 << n) - 1):  # no group: the element is 0
-        num[t] = 0
     scale = lcm(*den)
-    keys = sorted([a * (scale // b) for a, b in zip(num, den)])
+    # every class multiplies in at least 3 (an odd prime power, times a pair
+    # total >= C(k, 2) >= 1), so a numerator still 1 had no group: the source
+    # itself or an unreached target, whose element is 0
+    keys = sorted([a * (scale // b) if a > 1 else 0 for a, b in zip(num, den)])
     out = []
     last = -1
     for key in keys:

@@ -319,7 +319,10 @@ def test_compare_oracle_size_gate_and_force(graph_file, capsys):
     a = graph_file("a.col", paley(17))
     b = graph_file("b.col", paley(17))
     assert main(["compare", a, b, "--method", "oracle"]) == 2
-    assert "--force" in capsys.readouterr().err
+    refused = capsys.readouterr()
+    assert refused.out == ""
+    assert refused.err == ("error: oracle search refused for n=17 (limit 16); "
+                           "pass --force to override\n")
     assert main(["compare", a, b, "--method", "oracle", "--force"]) == 0
     assert capsys.readouterr().out == "isomorphic\n"
 

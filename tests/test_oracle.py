@@ -9,10 +9,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import atlas, graph_pairs, random_graph, shuffled_copy, small_graphs, wl_uniform_twins
+from reference_oracle import bfs_order
 from rsvp.distances import bfs_distances
 from rsvp.generators import complete, cycle, disjoint_union, paley, path, rook, shrikhande
 from rsvp.graphs import Graph, Permutation, permute, verify_mapping
-from rsvp.oracle import _PROFILE_RADIUS, SearchBudgetExceeded, _distance_profiles, find_isomorphism
+from rsvp.oracle import (_PROFILE_RADIUS, SearchBudgetExceeded, _bfs_order, _distance_profiles,
+                         find_isomorphism)
 from rsvp.refinement import WLVerdict, wl_compare
 from rsvp.signature import CertificatesEqual, NonIsomorphic, certificate, rsvp_compare
 
@@ -104,6 +106,22 @@ def test_distance_profiles_are_truncated_sphere_sizes_and_equivariant(g, rng):
 def test_distance_profiles_stop_at_the_radius():
     # path(4096) has eccentricities up to 4095; the profiles stop far short
     assert max(map(len, _distance_profiles(path(4096)))) == _PROFILE_RADIUS
+
+
+def test_search_order_matches_the_queue_reference_on_the_atlas():
+    for n in range(1, 8):
+        for g in atlas(n):
+            assert _bfs_order(g) == bfs_order(g)
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_graphs())
+@example(Graph(9, [(2, 3), (3, 4), (0, 5), (5, 6), (6, 0), (4, 2)]))
+def test_search_order_matches_the_queue_reference(g):
+    # several components, isolated vertices among them, rows in any order
+    order = _bfs_order(g)
+    assert order == bfs_order(g)
+    assert sorted(order) == list(range(g.n))
 
 
 def test_profiles_decide_a_cycle_against_two_before_any_candidate():
