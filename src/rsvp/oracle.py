@@ -5,15 +5,22 @@ not as a competitor to industrial solvers; the worst case is exponential.
 With a budget it runs at any size and gives up instead, which is how
 ``rsvp_compare`` uses it. Refinement starts from each vertex's distance
 profile, so most regular graphs split before any candidate is tried.
+
+The same depth-first driver searches a graph's automorphisms: ``_orbits``
+looks for one that sends the least vertex of each profile cell to each other
+member, under a budget of streams opened, and joins the orbits of every
+automorphism it verifies. ``certificate`` computes one signature per orbit
+it proves.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
+from itertools import chain
 
 from .graphs import Graph, Permutation, disjoint_union, verify_mapping
-from .refinement import color_refinement
+from .refinement import _refine_once, color_refinement
 
 # exact search is refused above this vertex count unless forced
 ORACLE_SIZE_LIMIT = 16
@@ -23,18 +30,25 @@ ORACLE_SIZE_LIMIT = 16
 # path(1500)'s profiles take 5 ms here and 1.6 s unbounded (2-vCPU VM)
 _PROFILE_RADIUS = 4
 
+# candidate streams, per vertex, that one automorphism search may open and
+# that all of one graph's searches may open together; relabeled paley:61 and
+# paley:101 run out of the first, every certify-sparse and certify-dense
+# graph of perfbench seed 1 gets all its orbits within both
+_ORBIT_SEARCH_STREAMS = 4
+_ORBIT_GRAPH_STREAMS = 8
+
 
 class SearchBudgetExceeded(Exception):
     """A budgeted search gave up before it could prove either answer."""
 
 
-def _bfs_order(g: Graph) -> list[int]:
-    # components in min-id order, FIFO within; keeps every prefix as
-    # connected as possible so adjacency pruning bites early
+def _bfs_order(g: Graph, start: int = 0) -> list[int]:
+    # components in id order from ``start`` round, FIFO within; keeps every
+    # prefix as connected as possible so adjacency pruning bites early
     seen = [False] * g.n
     order: list[int] = []
     head = 0  # the order is its own queue: order[head:] is seen, not expanded
-    for root in range(g.n):
+    for root in chain(range(start, g.n), range(start)):
         if seen[root]:
             continue
         seen[root] = True
@@ -65,6 +79,25 @@ def _distance_profiles(g: Graph) -> list[tuple[int, ...]]:
                 profiles[v].append((ball ^ last[v]).bit_count())
                 balls[v] = ball
     return [tuple(p) for p in profiles]
+
+
+def _depth_first(order: list[int], extend: Callable[[int], Iterator[int]]) -> bool:
+    """Map the vertices of ``order`` in turn, depth first: ``extend(u)`` is
+    the stream of u's candidates, each yielded once u is mapped to it and
+    undone when the stream resumes. True once the last vertex is mapped, with
+    every stream left suspended so the mapping stands; False when the first
+    stream runs dry."""
+    # an explicit stack, one candidate stream per mapped prefix of ``order``,
+    # so path-like graphs of any length fit
+    stack = [extend(order[0])]
+    while stack:
+        if next(stack[-1], None) is None:
+            stack.pop()
+        elif len(stack) == len(order):
+            return True
+        else:
+            stack.append(extend(order[len(stack)]))
+    return False
 
 
 def find_isomorphism(g1: Graph, g2: Graph, budget: int | None = None,
@@ -135,19 +168,119 @@ def find_isomorphism(g1: Graph, g2: Graph, budget: int | None = None,
             mapping[u] = -1
             used ^= bit
 
-    # depth-first with an explicit stack, one candidate stream per mapped
-    # prefix of ``order``, so path-like graphs of any length fit
-    stack = [extend(order[0])]
-    while stack:
-        if next(stack[-1], None) is None:
-            stack.pop()
-        elif len(stack) == n:
-            break
-        else:
-            stack.append(extend(order[len(stack)]))
-    else:
+    if not _depth_first(order, extend):
         return None
+    return _verified(g1, g2, mapping)
+
+
+def _verified(g1: Graph, g2: Graph, mapping: list[int]) -> Permutation:
+    # an explicit raise, so the check also holds under python -O
     result = Permutation(mapping)
     if not verify_mapping(g1, g2, result):
         raise RuntimeError("oracle search produced a mapping that is not an isomorphism")
     return result
+
+
+def _orbits(g: Graph) -> list[int]:
+    """For each vertex v, the least vertex that the automorphisms found prove
+    to share v's orbit: v itself unless a search proves otherwise.
+
+    Cells are the distance profiles refined one round. For each cell with
+    more than one member, searches try to send its least member r to each
+    member w not yet in r's orbit. A search maps r to w, then the rest of
+    ``_bfs_order(g, r)`` in turn, each vertex u to a free member of its cell
+    adjacent to the images of exactly its mapped neighbours, tried from
+    (u + w - r) mod n up and round: where the labels follow a rotation the
+    first try is that rotation, and on K_n one search finds an n-cycle
+    (ascending tries find only transpositions). Each verified automorphism
+    joins v with its image, for every v, in a union-find whose roots are the
+    least members. One search opens at most ``_ORBIT_SEARCH_STREAMS`` * n
+    candidate streams, all of them together ``_ORBIT_GRAPH_STREAMS`` * n; a
+    cell stops at its first failed search, all cells when the graph's
+    streams run out.
+    """
+    n = g.n
+    root = list(range(n))
+
+    def find(v: int) -> int:
+        while root[v] != v:
+            root[v] = v = root[root[v]]
+        return v
+
+    profiles = _distance_profiles(g)
+    rank = {p: i for i, p in enumerate(sorted(set(profiles)))}
+    if len(rank) == n:
+        return root
+    colors = _refine_once(g, [rank[p] for p in profiles])
+    cells: dict[int, int] = {}
+    for v, c in enumerate(colors):
+        cells[c] = cells.get(c, 0) | 1 << v
+    cell_of = [cells[c] for c in colors]
+    adj, rows = g.adjacency, g.bits
+    spent = 0  # candidate streams opened so far, over every search
+
+    def automorphism(r: int, w: int, order: list[int]) -> Permutation | None:
+        # a verified automorphism sending r to w, or None once the search
+        # runs dry or the stream that brings ``spent`` to ``stop`` opens
+        nonlocal spent
+        stop = min(spent + _ORBIT_SEARCH_STREAMS * n, _ORBIT_GRAPH_STREAMS * n)
+        mapping = [-1] * n
+        mapping[r] = w
+        used = 1 << w  # bitset of the images mapped so far
+
+        def extend(u: int) -> Iterator[int]:
+            # maps u to each free member of its cell whose mapped neighbours
+            # are exactly the images of u's, from (u + w - r) mod n up and
+            # round; resuming undoes the previous choice
+            nonlocal used, spent
+            spent += 1
+            if spent == stop:
+                raise SearchBudgetExceeded(f"{stop} candidate streams")
+            images = 0
+            pool = cell_of[u] & ~used
+            for x in adj[u]:
+                image = mapping[x]
+                if image >= 0:
+                    images |= 1 << image
+                    pool &= rows[image]
+            first = (u + w - r) % n
+            above = pool >> first << first
+            for part in (above, pool ^ above):
+                while part:
+                    bit = part & -part
+                    part ^= bit
+                    v = bit.bit_length() - 1
+                    if rows[v] & used != images:
+                        continue
+                    mapping[u] = v
+                    used |= bit
+                    yield v
+                    mapping[u] = -1
+                    used ^= bit
+
+        try:
+            if not _depth_first(order, extend):
+                return None
+        except SearchBudgetExceeded:
+            return None
+        return _verified(g, g, mapping)
+
+    for r in range(n):
+        cell = cell_of[r]
+        if cell & -cell != 1 << r or cell == 1 << r:
+            continue  # r is not the least member of a cell with others
+        order = _bfs_order(g, r)[1:]
+        others = cell ^ 1 << r
+        while others and spent < _ORBIT_GRAPH_STREAMS * n:
+            w = (others & -others).bit_length() - 1
+            others ^= 1 << w
+            if find(w) == r:
+                continue
+            sigma = automorphism(r, w, order)
+            if sigma is None:
+                break
+            for v, image in enumerate(sigma):
+                a, b = find(v), find(image)
+                if a != b:
+                    root[max(a, b)] = min(a, b)
+    return [find(v) for v in range(n)]

@@ -33,7 +33,7 @@ from math import comb, gcd, isqrt, lcm
 # tracer patches rsvp.signature.distance_matrix
 from .distances import distance_matrix  # noqa: F401
 from .graphs import Graph, Permutation
-from .oracle import SearchBudgetExceeded, find_isomorphism
+from .oracle import SearchBudgetExceeded, _orbits, find_isomorphism
 from .reachability import Group, HopParentIndex, aggregate_hp
 
 
@@ -160,13 +160,21 @@ def vertex_signature(g: Graph, v: int, dist: Sequence[Sequence[int | None]]) -> 
     return _signature(aggregate_hp(g, v), {}, odd_primes(g.n))
 
 
-def _signatures(g: Graph) -> Iterator[str]:
+def _signatures(g: Graph, roots: Sequence[int] = ()) -> Iterator[str]:
     """The lines of ``vertex_signature(g, v, ...)`` for v = 0, 1, ..., computed
-    lazily, with one pair-total memo and one prime list (hops <= n) per graph."""
+    lazily, with one pair-total memo and one prime list (hops <= n) per graph.
+
+    With ``roots``, a vertex whose root is an earlier vertex in its
+    automorphism orbit (see ``oracle._orbits``) repeats that vertex's line,
+    the same string object, instead of computing its own: signatures are
+    equivariant, so the two lines are equal.
+    """
     totals: dict[int, int] = {}
     primes = odd_primes(g.n)
-    for v in range(g.n):
-        yield _signature(aggregate_hp(g, v), totals, primes)
+    lines: list[str] = []
+    for v, root in enumerate(roots or range(g.n)):
+        lines.append(lines[root] if root < v else _signature(aggregate_hp(g, v), totals, primes))
+        yield lines[v]
 
 
 @dataclass(frozen=True)
@@ -182,8 +190,12 @@ class Certificate:
 
 
 def certificate(g: Graph) -> Certificate:
-    """Certificate of ``g``; equal for isomorphic graphs, one-sided otherwise."""
-    return Certificate(tuple(sorted(_signatures(g))))
+    """Certificate of ``g``; equal for isomorphic graphs, one-sided otherwise.
+
+    One signature is computed per automorphism orbit that ``_orbits`` proves;
+    the bytes are those of computing every vertex's.
+    """
+    return Certificate(tuple(sorted(_signatures(g, _orbits(g)))))
 
 
 @dataclass(frozen=True)

@@ -12,12 +12,12 @@ from collections import deque
 from rsvp.graphs import Graph
 
 
-def bfs_order(g: Graph) -> list[int]:
-    """Components in min-id order, each breadth first from its least vertex,
-    neighbours in adjacency storage order."""
+def bfs_order(g: Graph, start: int = 0) -> list[int]:
+    """Components in id order from ``start`` round, each breadth first from
+    its first vertex in that order, neighbours in adjacency storage order."""
     seen = [False] * g.n
     order: list[int] = []
-    for root in range(g.n):
+    for root in [*range(start, g.n), *range(start)]:
         if seen[root]:
             continue
         seen[root] = True

@@ -11,10 +11,12 @@ from hypothesis import strategies as st
 from conftest import atlas, graph_pairs, random_graph, shuffled_copy, small_graphs, wl_uniform_twins
 from reference_oracle import bfs_order
 from rsvp.distances import bfs_distances
-from rsvp.generators import complete, cycle, disjoint_union, paley, path, rook, shrikhande
+from rsvp.generators import (complete, cycle, disjoint_union, graph_from_spec, paley, path, rook,
+                             shrikhande)
 from rsvp.graphs import Graph, Permutation, permute, verify_mapping
-from rsvp.oracle import (_PROFILE_RADIUS, SearchBudgetExceeded, _bfs_order, _distance_profiles,
-                         find_isomorphism)
+from rsvp.oracle import (_ORBIT_GRAPH_STREAMS, _ORBIT_SEARCH_STREAMS, _PROFILE_RADIUS,
+                         SearchBudgetExceeded, _bfs_order, _depth_first, _distance_profiles,
+                         _orbits, find_isomorphism)
 from rsvp.refinement import WLVerdict, wl_compare
 from rsvp.signature import CertificatesEqual, NonIsomorphic, certificate, rsvp_compare
 
@@ -124,6 +126,15 @@ def test_search_order_matches_the_queue_reference(g):
     assert sorted(order) == list(range(g.n))
 
 
+def test_search_order_from_any_start_matches_the_queue_reference():
+    for n in range(1, 7):
+        for g in atlas(n):
+            for start in range(n):
+                order = _bfs_order(g, start)
+                assert order == bfs_order(g, start)
+                assert order[0] == start
+
+
 def test_profiles_decide_a_cycle_against_two_before_any_candidate():
     # both graphs are 2-regular, so a uniform start leaves one class and
     # the search would backtrack; their distance-4 spheres differ in size
@@ -225,3 +236,121 @@ def test_non_isomorphic_verdicts_are_sound(pair, rng):
     twin = shuffled_copy(permute(g, Permutation.random(g.n, rng)), rng)
     assert isinstance(rsvp_compare(g, twin), CertificatesEqual)
     assert certificate(twin) == certificate(g)
+
+
+def automorphism_orbits(g: Graph) -> list[set[int]]:
+    """Each vertex's orbit under every automorphism networkx enumerates."""
+    h = to_networkx(g)
+    orbits = [{v} for v in range(g.n)]
+    for sigma in nx.algorithms.isomorphism.GraphMatcher(h, h).isomorphisms_iter():
+        for v, image in sigma.items():
+            orbits[v].add(image)
+    return orbits
+
+
+def test_orbits_join_only_vertices_that_an_automorphism_joins():
+    missed = []
+    for n in range(7):
+        for g in atlas(n):
+            roots = _orbits(g)
+            orbits = automorphism_orbits(g)
+            for v, root in enumerate(roots):
+                assert root <= v and roots[root] == root
+                assert root in orbits[v]
+            if roots != [min(orbit) for orbit in orbits]:
+                missed.append(g)
+    # a cell stops at its first failed search, so where one round of
+    # refinement leaves two orbits in a cell, the second can be missed: it
+    # happens first on 6 vertices, to 2 of the 156 classes
+    assert len(missed) <= 2
+    assert all(g.n == 6 for g in missed)
+
+
+def relabeled(spec: str, seed: int) -> Graph:
+    return graph_from_spec(f"permuted:{seed}:{spec}")
+
+
+@pytest.mark.parametrize("spec", ["cycle:7", "cycle:48", "complete:9", "complete:40", "rook:4",
+                                  "rook:5", "rook:6", "shrikhande", "paley:13", "paley:17"])
+@pytest.mark.parametrize("seed", [0, 1, 42])
+def test_vertex_transitive_graphs_have_one_root(spec, seed):
+    assert set(_orbits(relabeled(spec, seed))) == {0}
+
+
+def test_relabeled_paley_29_needs_more_streams_than_its_budget_at_some_labels(monkeypatch):
+    # labeled, the rotated candidate order maps r to w by the rotation at
+    # once; relabeled, a search needs 28 to 164 streams (seeds 0-9) against
+    # its 4n = 116, so some labelings keep several roots. With the budgets
+    # raised, every one of them proves one orbit
+    assert set(_orbits(paley(29))) == {0}
+    graphs = [relabeled("paley:29", seed) for seed in range(10)]
+    assert max(len(set(_orbits(g))) for g in graphs) > 1
+    monkeypatch.setattr("rsvp.oracle._ORBIT_SEARCH_STREAMS", 64)
+    monkeypatch.setattr("rsvp.oracle._ORBIT_GRAPH_STREAMS", 128)
+    assert all(set(_orbits(g)) == {0} for g in graphs)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 42])
+def test_a_relabeled_path_has_one_root_per_mirror_pair(seed):
+    g = relabeled("path:25", seed)
+    roots = _orbits(g)
+    assert len(set(roots)) == 13
+    # the mirror image of the path is the one automorphism
+    assert roots == [min(orbit) for orbit in automorphism_orbits(g)]
+
+
+def count_streams(monkeypatch) -> list[list[int]]:
+    """One list per search through ``_depth_first``: the vertex of every
+    candidate stream it opened."""
+    searches: list[list[int]] = []
+
+    def counting(order, extend):
+        opened: list[int] = []
+        searches.append(opened)
+
+        def counted(u):
+            opened.append(u)
+            return extend(u)
+        return _depth_first(order, counted)
+
+    monkeypatch.setattr("rsvp.oracle._depth_first", counting)
+    return searches
+
+
+@pytest.mark.parametrize("spec", ["permuted:1:paley:101", "random_regular:200:4:1",
+                                  "permuted:3:random_regular:200:4:1", "permuted:3:path:100"])
+def test_orbit_searches_stay_within_their_budgets(monkeypatch, spec):
+    g = graph_from_spec(spec)
+    searches = count_streams(monkeypatch)
+    _orbits(g)
+    assert all(len(opened) <= _ORBIT_SEARCH_STREAMS * g.n for opened in searches)
+    assert sum(map(len, searches)) <= _ORBIT_GRAPH_STREAMS * g.n
+
+
+def test_an_exhausted_graph_budget_stops_every_cell(monkeypatch):
+    # three relabeled paley graphs in one, a cell each: the first two cells'
+    # searches each run out of their 4n streams, which spends the graph's 8n,
+    # so the third cell is never searched
+    g = graph_from_spec("disjoint_union:permuted:1:paley:61:"
+                        "disjoint_union:permuted:2:paley:53:permuted:1:paley:41")
+    searches = count_streams(monkeypatch)
+    assert _orbits(g) == list(range(g.n))
+    assert [len(opened) for opened in searches] == [_ORBIT_SEARCH_STREAMS * g.n] * 2
+    assert sum(map(len, searches)) == _ORBIT_GRAPH_STREAMS * g.n
+
+
+@pytest.mark.parametrize("g, roots", [
+    (Graph(0), []),
+    (Graph(1), [0]),
+    (Graph(2), [0, 0]),
+    (Graph(6), [0] * 6),
+    (disjoint_union(Graph(3), complete(2)), [0, 0, 0, 3, 3]),
+])
+def test_orbits_of_tiny_and_edgeless_graphs(g, roots):
+    assert _orbits(g) == roots
+
+
+def test_an_unverified_automorphism_raises(monkeypatch):
+    monkeypatch.setattr("rsvp.oracle.verify_mapping", lambda g1, g2, f: False)
+    with pytest.raises(RuntimeError, match="not an isomorphism"):
+        _orbits(cycle(5))

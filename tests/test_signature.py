@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import atlas, graph_pairs, random_graph, shuffled_copy, small_graphs, wl_uniform_twins
+from hard_families import NON_GROUP_ROWS, Z5_ROWS, chang_graph, latin_square_graph, triangular_graph
 from rsvp.distances import distance_matrix
 from rsvp.generators import (
     complete,
@@ -33,6 +34,7 @@ from rsvp.reachability import Group, aggregate_hp
 from rsvp.signature import (
     CertificatesEqual,
     NonIsomorphic,
+    _signature,
     avpd,
     certificate,
     odd_primes,
@@ -277,6 +279,43 @@ def test_certificate_bytes_are_pinned(spec, digest):
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
 
 
+def orbit_free_lines(g: Graph) -> tuple[str, ...]:
+    """The certificate's lines with every vertex's signature computed."""
+    primes = odd_primes(g.n)
+    return tuple(sorted(_signature(aggregate_hp(g, v), {}, primes) for v in range(g.n)))
+
+
+def test_certificates_equal_the_orbit_free_lines_on_the_atlas():
+    for n in range(8):
+        for g in atlas(n):
+            assert certificate(g).lines == orbit_free_lines(g)
+
+
+@pytest.mark.parametrize("spec, digest", CERTIFICATE_SHA256)
+def test_relabeled_certificates_equal_the_orbit_free_lines(spec, digest):
+    g = graph_from_spec(spec)
+    twin = permute(g, Permutation.random(g.n, random.Random(5)))
+    cert = certificate(twin)
+    assert cert.lines == orbit_free_lines(twin)
+    assert hashlib.sha256(cert.serialize().encode("utf-8")).hexdigest() == digest
+
+
+@pytest.mark.parametrize("build", [
+    lambda: latin_square_graph(Z5_ROWS),
+    lambda: latin_square_graph(NON_GROUP_ROWS),
+    triangular_graph,
+    lambda: chang_graph(1),
+    lambda: chang_graph(2),
+    lambda: chang_graph(3),
+], ids=["latin-Z5", "latin-non-group", "T8", "chang-1", "chang-2", "chang-3"])
+def test_hard_family_certificates_equal_the_orbit_free_lines(build):
+    # strongly regular: the orbit searches fail or run out of streams on
+    # some of these, and a cell's lines are then computed one by one
+    g = build()
+    twin = permute(g, Permutation.random(g.n, random.Random(11)))
+    assert certificate(twin).lines == orbit_free_lines(twin) == orbit_free_lines(g)
+
+
 def test_rsvp_compare_size_gate():
     verdict = rsvp_compare(complete(3), path(3))
     assert isinstance(verdict, NonIsomorphic)
@@ -390,6 +429,18 @@ def count_traversals(monkeypatch) -> list[int]:
 
     monkeypatch.setattr("rsvp.signature.aggregate_hp", counting)
     return calls
+
+
+@pytest.mark.parametrize("spec, traversals", [
+    ("permuted:3:cycle:48", 1),
+    ("permuted:3:random_gnm:40:120:1", 40),
+])
+def test_certificate_traverses_once_per_proven_orbit(monkeypatch, spec, traversals):
+    g = graph_from_spec(spec)
+    expected = orbit_free_lines(g)
+    calls = count_traversals(monkeypatch)
+    assert certificate(g).lines == expected
+    assert len(calls) == traversals
 
 
 def test_compare_stops_at_the_first_unmatched_signature(monkeypatch):
