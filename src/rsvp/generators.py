@@ -174,16 +174,17 @@ def worked_example() -> Graph:
 
 
 # family -> (generator, number of integer parameters in a spec, vertex count
-# of those parameters)
+# of those parameters, clamped at 0 so that a negative size cannot offset
+# another part of a disjoint union past the vertex limit)
 _FAMILIES = {
-    "cycle": (cycle, 1, lambda k: k),
-    "complete": (complete, 1, lambda k: k),
-    "path": (path, 1, lambda k: k),
+    "cycle": (cycle, 1, lambda k: max(k, 0)),
+    "complete": (complete, 1, lambda k: max(k, 0)),
+    "path": (path, 1, lambda k: max(k, 0)),
     "rook": (rook, 1, lambda k: max(k, 0) ** 2),
     "shrikhande": (shrikhande, 0, lambda: 16),
-    "paley": (paley, 1, lambda q: q),
-    "random_gnm": (random_gnm, 3, lambda n, m, seed: n),
-    "random_regular": (random_regular, 3, lambda n, d, seed: n),
+    "paley": (paley, 1, lambda q: max(q, 0)),
+    "random_gnm": (random_gnm, 3, lambda n, m, seed: max(n, 0)),
+    "random_regular": (random_regular, 3, lambda n, d, seed: max(n, 0)),
     "worked_example": (worked_example, 0, lambda: 6),
 }
 

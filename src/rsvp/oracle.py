@@ -6,11 +6,12 @@ With a budget it runs at any size and gives up instead, which is how
 ``rsvp_compare`` uses it. Refinement starts from each vertex's distance
 profile, so most regular graphs split before any candidate is tried.
 
-The same depth-first driver searches a graph's automorphisms: ``_orbits``
-looks for one that sends the least vertex of each profile cell to each other
-member, under a budget of streams opened, and joins the orbits of every
-automorphism it verifies. ``certificate`` computes one signature per orbit
-it proves.
+``find_isomorphism`` (``rsvp_compare``'s first search and its anchored one)
+and the orbit search run one candidate stream, ``_match``; only its
+candidate order and budget unit differ. ``_orbits`` looks for automorphisms
+that send the least vertex of each profile cell to each other member, under
+a budget of streams opened, and joins the orbits of every one it finds;
+``certificate`` computes one signature per orbit it proves.
 """
 
 from __future__ import annotations
@@ -100,19 +101,70 @@ def _depth_first(order: list[int], extend: Callable[[int], Iterator[int]]) -> bo
     return False
 
 
+def _match(g1: Graph, g2: Graph, order: list[int], cells: list[int], mapping: list[int],
+           shift: int, charge: Callable[[int], None]) -> Permutation | None:
+    """Extend ``mapping`` (g2's vertex for each of g1's, -1 while unmapped)
+    over ``order`` depth first: a verified isomorphism, or None once the
+    search runs dry.
+
+    Each u maps to a free member of ``cells[u]``, a bitset of g2's vertices,
+    whose mapped neighbours are exactly the images of u's. Candidates are
+    tried ascending when ``shift`` is 0, else from (u + shift) mod n up and
+    round. ``charge(cells[u])`` runs as each candidate stream opens and may
+    raise SearchBudgetExceeded.
+    """
+    n = g1.n
+    adj, rows = g1.adjacency, g2.bits
+    used = sum(1 << v for v in mapping if v >= 0)  # bitset of the images mapped so far
+
+    def extend(u: int) -> Iterator[int]:
+        # maps u to each candidate in turn; resuming undoes the previous choice
+        nonlocal used
+        cell = cells[u]
+        charge(cell)
+        images = 0
+        pool = cell & ~used
+        for x in adj[u]:
+            image = mapping[x]
+            if image >= 0:
+                images |= 1 << image
+                pool &= rows[image]
+        first = (u + shift) % n if shift else 0
+        above = pool >> first << first
+        for part in (above, pool ^ above):
+            while part:
+                bit = part & -part
+                part ^= bit
+                v = bit.bit_length() - 1
+                if rows[v] & used != images:
+                    continue
+                mapping[u] = v
+                used |= bit
+                yield v
+                mapping[u] = -1
+                used ^= bit
+
+    if not _depth_first(order, extend):
+        return None
+    # an explicit raise, so the check also holds under python -O
+    result = Permutation(mapping)
+    if not verify_mapping(g1, g2, result):
+        raise RuntimeError("oracle search produced a mapping that is not an isomorphism")
+    return result
+
+
 def find_isomorphism(g1: Graph, g2: Graph, budget: int | None = None,
                      anchor: int | None = None) -> Permutation | None:
     """Exact: a verified isomorphism if one exists, else None.
 
-    Backtracking over vertex assignments with adjacency consistency pruning,
-    seeded by joint color refinement classes started from the (invariant)
-    distance profiles; candidate order is ascending ids, so failures
-    reproduce exactly. ``anchor=w`` individualises g1's vertex 0 and g2's
-    vertex w on top of the profiles, so only mappings that send 0 to w are
-    tried; None from an anchored call proves nothing. With a ``budget``,
-    each candidate stream opened for a vertex charges its class size up
-    front, and opening one after the charges have passed the budget raises
-    SearchBudgetExceeded.
+    ``_match`` over ``_bfs_order(g1)``, each vertex's candidates its class of
+    the joint color refinement started from the (invariant) distance
+    profiles, tried ascending, so failures reproduce exactly. ``anchor=w``
+    individualises g1's vertex 0 and g2's vertex w on top of the profiles, so
+    only mappings that send 0 to w are tried; None from an anchored call
+    proves nothing. With a ``budget``, each candidate stream opened for a
+    vertex charges its class size up front, and opening one after the
+    charges have passed the budget raises SearchBudgetExceeded.
     """
     if anchor is not None and anchor not in range(g2.n):
         raise ValueError(f"anchor must be a vertex of g2, 0..n-1 with n = {g2.n}; got {anchor!r}")
@@ -132,53 +184,22 @@ def find_isomorphism(g1: Graph, g2: Graph, budget: int | None = None,
     c1, c2 = colors[:n], colors[n:]
     if Counter(c1) != Counter(c2):
         return None
-    candidates: dict[int, list[int]] = {}
-    for v in range(n):
-        candidates.setdefault(c2[v], []).append(v)
-
-    order = _bfs_order(g1)
-    adj1 = g1.adjacency
-    rows2 = g2.bits
-    mapping = [-1] * n
-    used = 0  # bitset of the images mapped so far
+    classes: dict[int, int] = {}
+    for v, c in enumerate(c2):
+        classes[c] = classes.get(c, 0) | 1 << v
     checks = 0  # candidates charged so far
 
-    def extend(u: int) -> Iterator[int]:
-        # maps u to each of its candidates, ascending, that agrees with the
-        # mapping so far; resuming undoes the previous choice
-        nonlocal used, checks
-        images = sum(1 << mapping[w] for w in adj1[u] if mapping[w] >= 0)
-        pool = candidates[c1[u]]
+    def charge(cell: int) -> None:
+        # charged per stream, not per advance: counting advances would cost
+        # about as much as the work it bounds; the stream whose charge
+        # passes the budget still runs, the next one raises
+        nonlocal checks
         if budget is not None:
-            # charged per stream, not per advance: counting advances would
-            # cost about as much as the work it bounds; the stream whose
-            # charge passes the budget still runs, the next one raises
             if checks > budget:
                 raise SearchBudgetExceeded(f"more than {budget} candidate checks")
-            checks += len(pool)
-        for v in pool:
-            bit = 1 << v
-            # v is free and its mapped neighbors are exactly the images of
-            # u's; its refinement class already gives it u's degree
-            if used & bit or rows2[v] & used != images:
-                continue
-            mapping[u] = v
-            used |= bit
-            yield v
-            mapping[u] = -1
-            used ^= bit
+            checks += cell.bit_count()
 
-    if not _depth_first(order, extend):
-        return None
-    return _verified(g1, g2, mapping)
-
-
-def _verified(g1: Graph, g2: Graph, mapping: list[int]) -> Permutation:
-    # an explicit raise, so the check also holds under python -O
-    result = Permutation(mapping)
-    if not verify_mapping(g1, g2, result):
-        raise RuntimeError("oracle search produced a mapping that is not an isomorphism")
-    return result
+    return _match(g1, g2, _bfs_order(g1), [classes[c] for c in c1], [-1] * n, 0, charge)
 
 
 def _orbits(g: Graph) -> list[int]:
@@ -186,13 +207,11 @@ def _orbits(g: Graph) -> list[int]:
     to share v's orbit: v itself unless a search proves otherwise.
 
     Cells are the distance profiles refined one round. For each cell with
-    more than one member, searches try to send its least member r to each
-    member w not yet in r's orbit. A search maps r to w, then the rest of
-    ``_bfs_order(g, r)`` in turn, each vertex u to a free member of its cell
-    adjacent to the images of exactly its mapped neighbours, tried from
-    (u + w - r) mod n up and round: where the labels follow a rotation the
+    more than one member, ``_match`` tries to send its least member r to
+    each member w not yet in r's orbit, over the rest of ``_bfs_order(g, r)``
+    with candidates shifted by w - r: where the labels follow a rotation the
     first try is that rotation, and on K_n one search finds an n-cycle
-    (ascending tries find only transpositions). Each verified automorphism
+    (ascending tries find only transpositions). Each automorphism found
     joins v with its image, for every v, in a union-find whose roots are the
     least members. One search opens at most ``_ORBIT_SEARCH_STREAMS`` * n
     candidate streams, all of them together ``_ORBIT_GRAPH_STREAMS`` * n; a
@@ -216,54 +235,15 @@ def _orbits(g: Graph) -> list[int]:
     for v, c in enumerate(colors):
         cells[c] = cells.get(c, 0) | 1 << v
     cell_of = [cells[c] for c in colors]
-    adj, rows = g.adjacency, g.bits
-    spent = 0  # candidate streams opened so far, over every search
+    # candidate streams opened so far, over every search, and the count at
+    # which the current search gives up
+    spent = stop = 0
 
-    def automorphism(r: int, w: int, order: list[int]) -> Permutation | None:
-        # a verified automorphism sending r to w, or None once the search
-        # runs dry or the stream that brings ``spent`` to ``stop`` opens
+    def charge(cell: int) -> None:
         nonlocal spent
-        stop = min(spent + _ORBIT_SEARCH_STREAMS * n, _ORBIT_GRAPH_STREAMS * n)
-        mapping = [-1] * n
-        mapping[r] = w
-        used = 1 << w  # bitset of the images mapped so far
-
-        def extend(u: int) -> Iterator[int]:
-            # maps u to each free member of its cell whose mapped neighbours
-            # are exactly the images of u's, from (u + w - r) mod n up and
-            # round; resuming undoes the previous choice
-            nonlocal used, spent
-            spent += 1
-            if spent == stop:
-                raise SearchBudgetExceeded(f"{stop} candidate streams")
-            images = 0
-            pool = cell_of[u] & ~used
-            for x in adj[u]:
-                image = mapping[x]
-                if image >= 0:
-                    images |= 1 << image
-                    pool &= rows[image]
-            first = (u + w - r) % n
-            above = pool >> first << first
-            for part in (above, pool ^ above):
-                while part:
-                    bit = part & -part
-                    part ^= bit
-                    v = bit.bit_length() - 1
-                    if rows[v] & used != images:
-                        continue
-                    mapping[u] = v
-                    used |= bit
-                    yield v
-                    mapping[u] = -1
-                    used ^= bit
-
-        try:
-            if not _depth_first(order, extend):
-                return None
-        except SearchBudgetExceeded:
-            return None
-        return _verified(g, g, mapping)
+        spent += 1
+        if spent == stop:
+            raise SearchBudgetExceeded(f"{stop} candidate streams")
 
     for r in range(n):
         cell = cell_of[r]
@@ -276,7 +256,13 @@ def _orbits(g: Graph) -> list[int]:
             others ^= 1 << w
             if find(w) == r:
                 continue
-            sigma = automorphism(r, w, order)
+            stop = min(spent + _ORBIT_SEARCH_STREAMS * n, _ORBIT_GRAPH_STREAMS * n)
+            mapping = [-1] * n
+            mapping[r] = w
+            try:
+                sigma = _match(g, g, order, cell_of, mapping, w - r, charge)
+            except SearchBudgetExceeded:
+                sigma = None
             if sigma is None:
                 break
             for v, image in enumerate(sigma):

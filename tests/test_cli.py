@@ -63,6 +63,11 @@ def test_gen_refuses_a_graph_over_the_vertex_limit(capsys):
     assert "exceed the limit" in capsys.readouterr().err
 
 
+def test_gen_refuses_a_union_that_a_negative_size_would_bring_under_the_limit(capsys):
+    assert main(["gen", "disjoint_union", "cycle", "6000", "random_gnm", "-2000", "0", "1"]) == 2
+    assert "6000 vertices exceed the limit" in capsys.readouterr().err
+
+
 def test_gen_rejects_leftover_params(capsys):
     assert main(["gen", "cycle", "6", "7"]) == 2
     assert "unused" in capsys.readouterr().err

@@ -255,6 +255,8 @@ def test_spec_vertex_count_is_known_before_building(spec):
     f"disjoint_union:path:{MAX_VERTICES}:path:1",
     "permuted:1:rook:65",
     "random_gnm:1000000000:0:1",
+    # a negative size counts as 0, so it cannot offset the cycle's 6000
+    "disjoint_union:cycle:6000:random_gnm:-2000:0:1",
 ])
 def test_oversized_spec_is_refused_before_building(spec, monkeypatch):
     def refuse(*args):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import random
 from itertools import combinations
 
@@ -67,6 +68,18 @@ def test_a_budget_that_suffices_finds_the_unbounded_mapping():
     mapping = find_isomorphism(g, h)
     assert mapping is not None
     assert find_isomorphism(g, h, budget=10**6) == mapping
+
+
+def test_a_budget_counts_class_sizes_and_lets_the_passing_stream_run(monkeypatch):
+    # paley:29 leaves one class of 29, so each stream charges 29: the stream
+    # whose charge passes the budget still runs, the next one raises
+    g = paley(29)
+    h = permute(g, Permutation.random(g.n, random.Random(1)))
+    searches = count_streams(monkeypatch)
+    for budget in (0, 28, 29, g.n * g.n):
+        with pytest.raises(SearchBudgetExceeded):
+            find_isomorphism(g, h, budget=budget)
+    assert [len(opened) for opened in searches] == [2, 2, 3, 31]
 
 
 def test_an_anchor_outside_g2_is_refused():
@@ -348,6 +361,18 @@ def test_an_exhausted_graph_budget_stops_every_cell(monkeypatch):
 ])
 def test_orbits_of_tiny_and_edgeless_graphs(g, roots):
     assert _orbits(g) == roots
+
+
+def test_search_outcomes_on_the_atlas_are_pinned():
+    # every mapping and orbit root that the searches find on the atlas up to
+    # 7 vertices and a relabeling of each, as sha256 of their reprs in turn
+    rng = random.Random(0)
+    digest = hashlib.sha256()
+    for n in range(1, 8):
+        for g in atlas(n):
+            k = permute(g, Permutation.random(n, rng))
+            digest.update(repr((find_isomorphism(g, k), _orbits(g), _orbits(k))).encode())
+    assert digest.hexdigest() == "25a26d184866f50c1f24db3afe717f0cbd4d13d7a4b2c5b4d8ffb3daa7d66b90"
 
 
 def test_an_unverified_automorphism_raises(monkeypatch):
