@@ -55,6 +55,8 @@ def cmd_certify(args: argparse.Namespace) -> int:
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
+    if args.a == args.b == "-":
+        raise ValueError("both graphs are '-', but standard input can be read only once")
     a = resolve_graph_ref(args.a)
     b = resolve_graph_ref(args.b)
 

@@ -11,7 +11,7 @@ and the orbit search run one candidate stream, ``_match``; only its
 candidate order and budget unit differ. ``_orbits`` looks for automorphisms
 that send the least vertex of each profile cell to each other member, under
 a budget of streams opened, and joins the orbits of every one it finds;
-``certificate`` computes one signature per orbit it proves.
+``_signatures`` (certify and compare) computes one line per orbit it proves.
 """
 
 from __future__ import annotations

@@ -160,19 +160,23 @@ def vertex_signature(g: Graph, v: int, dist: Sequence[Sequence[int | None]]) -> 
     return _signature(aggregate_hp(g, v), {}, odd_primes(g.n))
 
 
-def _signatures(g: Graph, roots: Sequence[int] = ()) -> Iterator[str]:
+def _signatures(g: Graph) -> Iterator[str]:
     """The lines of ``vertex_signature(g, v, ...)`` for v = 0, 1, ..., computed
     lazily, with one pair-total memo and one prime list (hops <= n) per graph.
 
-    With ``roots``, a vertex whose root is an earlier vertex in its
-    automorphism orbit (see ``oracle._orbits``) repeats that vertex's line,
-    the same string object, instead of computing its own: signatures are
-    equivariant, so the two lines are equal.
+    A second line runs the orbit search (``oracle._orbits``); from then on a
+    vertex whose root is an earlier vertex in its automorphism orbit repeats
+    that vertex's line, the same string object, instead of computing its own:
+    signatures are equivariant, so the two lines are equal.
     """
+    if not g.n:
+        return
     totals: dict[int, int] = {}
     primes = odd_primes(g.n)
-    lines: list[str] = []
-    for v, root in enumerate(roots or range(g.n)):
+    # vertex 0 is the least vertex of its orbit, so its line needs no search
+    lines = [_signature(aggregate_hp(g, 0), totals, primes)]
+    yield lines[0]
+    for v, root in enumerate(_orbits(g)[1:], 1):
         lines.append(lines[root] if root < v else _signature(aggregate_hp(g, v), totals, primes))
         yield lines[v]
 
@@ -192,10 +196,10 @@ class Certificate:
 def certificate(g: Graph) -> Certificate:
     """Certificate of ``g``; equal for isomorphic graphs, one-sided otherwise.
 
-    One signature is computed per automorphism orbit that ``_orbits`` proves;
-    the bytes are those of computing every vertex's.
+    One signature is computed per automorphism orbit that ``_orbits`` proves
+    (see ``_signatures``); the bytes are those of computing every vertex's.
     """
-    return Certificate(tuple(sorted(_signatures(g, _orbits(g)))))
+    return Certificate(tuple(sorted(_signatures(g))))
 
 
 @dataclass(frozen=True)
@@ -232,9 +236,9 @@ def rsvp_compare(g1: Graph, g2: Graph) -> Verdict:
     are computed until one, at w, equals g1's vertex-0 signature (none:
     NonIsomorphic), and a second, equally budgeted search tries only the
     mappings that send 0 to w. Failing that, both multisets are counted off,
-    each signature computed once, stopping at the first g2 line with no
-    count left (NonIsomorphic); equal ones yield CertificatesEqual(None).
-    Neither search ever decides NonIsomorphic.
+    stopping at the first g2 line with no count left (NonIsomorphic); equal
+    ones yield CertificatesEqual(None). The lines come from ``_signatures``,
+    as certify's do. Neither search ever decides NonIsomorphic.
     """
     if g1.n != g2.n:
         return NonIsomorphic("vertex counts differ")

@@ -231,6 +231,18 @@ def test_compare_reads_stdin_next_to_a_spec_and_names_it(monkeypatch, capsys):
     assert captured.err == "warning: -: 1 duplicate edge line(s) collapsed\n"
 
 
+def test_compare_refuses_stdin_twice_before_reading_it(monkeypatch, capsys):
+    class Unread(io.StringIO):
+        def read(self, *args):
+            raise AssertionError("standard input was read")
+
+    monkeypatch.setattr("sys.stdin", Unread())
+    assert main(["compare", "-", "-"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: both graphs are '-', but standard input can be read only once\n"
+
+
 def test_compare_error_names_the_failing_file(graph_file, tmp_path, capsys):
     a = graph_file("a.col", cycle(3))
     bad = tmp_path / "bad.col"

@@ -29,7 +29,7 @@ from rsvp.generators import (
     worked_example,
 )
 from rsvp.graphs import Graph, Permutation, permute, verify_mapping
-from rsvp.oracle import SearchBudgetExceeded, find_isomorphism
+from rsvp.oracle import SearchBudgetExceeded, _orbits, find_isomorphism
 from rsvp.reachability import Group, aggregate_hp
 from rsvp.signature import (
     CertificatesEqual,
@@ -409,6 +409,10 @@ def test_compare_proves_every_pair_whose_id_order_pairing_verifies(pair):
         assert rsvp_compare(g, h).mapping is not None
 
 
+def verdicts_sha256(verdicts: list) -> str:
+    return hashlib.sha256(repr(verdicts).encode("utf-8")).hexdigest()
+
+
 def test_search_on_and_off_agree_on_every_atlas_pair():
     # the search proves no atlas pair isomorphic and never decides
     # NonIsomorphic, so each verdict is the certificates', reason and all
@@ -418,6 +422,8 @@ def test_search_on_and_off_agree_on_every_atlas_pair():
     assert [rsvp_compare(g, h) for g, h in pairs] == expected
     # some pairs pass every gate, so the search ran on them
     assert NonIsomorphic("certificates differ") in expected
+    # the verdicts and their reasons, pinned for later search changes
+    assert verdicts_sha256(expected) == "5b3fafe41cab252071ff2a1ccf839175ab61128acaa1ac315a0411b1378b39fa"
 
 
 def count_traversals(monkeypatch) -> list[int]:
@@ -446,7 +452,8 @@ def test_certificate_traverses_once_per_proven_orbit(monkeypatch, spec, traversa
 def test_compare_stops_at_the_first_unmatched_signature(monkeypatch):
     calls = count_traversals(monkeypatch)
     assert rsvp_compare(shrikhande(), rook(4)) == NonIsomorphic("certificates differ")
-    # all 16 of the Shrikhande graph's signatures, then the rook graph's first
+    # the Shrikhande graph's vertex-0 line, then the rook graph's lines up to
+    # the first unmatched one: at most 1 + 16 (the exact 2 is pinned below)
     assert len(calls) <= 17
 
 
@@ -543,12 +550,47 @@ def test_a_failed_anchor_falls_back_to_counting_off_the_signatures(monkeypatch):
 
 def test_a_failed_anchor_falls_back_without_computing_a_signature_twice(monkeypatch):
     # on a relabeled paley:29 both searches run out, so the multisets are
-    # counted off in full: each of the 2n signatures exactly once
+    # counted off in full: each proven orbit's signature exactly once (the
+    # orbit search proves paley:29 one orbit and joins no two vertices of
+    # this relabeling, so 1 + 29 lines)
     g = paley(29)
     h = graph_from_spec("permuted:42:paley:29")
     calls = count_traversals(monkeypatch)
     assert rsvp_compare(g, h) == CertificatesEqual(None)
-    assert len(calls) == 2 * g.n
+    assert len(calls) == len(set(_orbits(g))) + len(set(_orbits(h)))
+
+
+def count_orbit_searches(monkeypatch) -> list[Graph]:
+    searched: list[Graph] = []
+
+    def counting(g):
+        searched.append(g)
+        return _orbits(g)
+
+    monkeypatch.setattr("rsvp.signature._orbits", counting)
+    return searched
+
+
+@pytest.mark.parametrize("specs, reason, lines, searches", [
+    # g2's first line differs from g1's, and g2 is one proven orbit, so
+    # every later line of g2 repeats its first
+    (("cycle:40", "disjoint_union:cycle:20:cycle:20"), "certificates differ", 2, 1),
+    (("shrikhande", "rook:4"), "certificates differ", 2, 1),
+    # the first lines match, and the search anchored on them proves the pair
+    (("shrikhande", "permuted:42:shrikhande"), None, 2, 0),
+    (("path:4", "disjoint_union:cycle:3:complete:1"), "degree sequences differ", 0, 0),
+], ids=["cycle-vs-two-cycles", "shrikhande-vs-rook", "anchored-shrikhande", "degree-gated"])
+def test_compare_computes_a_proven_orbits_line_once_and_searches_only_past_the_first(
+        monkeypatch, specs, reason, lines, searches):
+    g, h = map(graph_from_spec, specs)
+    calls = count_traversals(monkeypatch)
+    searched = count_orbit_searches(monkeypatch)
+    verdict = rsvp_compare(g, h)
+    if reason is None:
+        assert verify_mapping(g, h, verdict.mapping)
+    else:
+        assert verdict == NonIsomorphic(reason)
+    assert (len(calls), len(searched)) == (lines, searches)
 
 
 def test_every_relabeled_atlas_twin_gets_a_proved_mapping():
@@ -556,9 +598,11 @@ def test_every_relabeled_atlas_twin_gets_a_proved_mapping():
     twins = [(g, permute(g, Permutation.random(g.n, rng)))
              for n in range(1, 8) for g in atlas(n)]
     assert len(twins) == 1252
-    for g, h in twins:
-        verdict = rsvp_compare(g, h)
+    verdicts = [rsvp_compare(g, h) for g, h in twins]
+    for (g, h), verdict in zip(twins, verdicts):
         assert verdict.mapping is not None and verify_mapping(g, h, verdict.mapping)
+    # the mappings found, pinned for later search changes
+    assert verdicts_sha256(verdicts) == "cec9cc2b24fc01a8253a044f5090972c5e725819fe623da8c28c5c8ad2e8358f"
 
 
 def test_degree_sequence_gate_computes_no_signature(monkeypatch):
