@@ -14,6 +14,11 @@ MAX_VERTICES = 4_096
 
 _DIGIT_BITS = bytes.maketrans(b"01", b"\0\1")
 
+# the smallest profile radius at which rsvp_compare's first search proves all
+# 275 iso compare-mixed rows of perfbench seeds 1-5 (1: 167, 2: 263, 3: 273);
+# path(1500)'s profiles take 5 ms here and 1.6 s unbounded (2-vCPU VM)
+_PROFILE_RADIUS = 4
+
 
 class Graph:
     """Immutable simple undirected graph.
@@ -30,10 +35,15 @@ class Graph:
     built on first use: bit ``w`` of ``twice[s]`` is set iff w has at least
     two neighbours in N(s), and of ``once[s]`` iff it has exactly one. Both
     are lists only to keep per-graph tuple copies off CPython's tuple free
-    lists. Nothing may write to ``bits``, ``adjacency`` or ``second``.
+    lists.
+
+    ``profiles`` is each vertex's distance profile, built on first use (see
+    ``_distance_profiles``): the start of every exact search on the graph
+    and of its orbit search. Nothing may write to ``bits``, ``adjacency``,
+    ``second`` or ``profiles``.
     """
 
-    __slots__ = ("n", "m", "bits", "adjacency", "_second")
+    __slots__ = ("n", "m", "bits", "adjacency", "_second", "_profiles")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()) -> None:
         if n < 0:
@@ -77,6 +87,7 @@ class Graph:
         self.m = sum(map(len, adjacency)) // 2
         self.bits = rows
         self._second: tuple[list[int], list[int]] | None = None
+        self._profiles: list[tuple[int, ...]] | None = None
         return self
 
     @property
@@ -94,6 +105,12 @@ class Graph:
                 once.append(one & ~two)
             self._second = (twice, once)
         return self._second
+
+    @property
+    def profiles(self) -> list[tuple[int, ...]]:
+        if self._profiles is None:
+            self._profiles = _distance_profiles(self)
+        return self._profiles
 
     def edges(self) -> list[tuple[int, int]]:
         """All edges as (u, w) pairs with u < w, sorted."""
@@ -113,6 +130,24 @@ class Graph:
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.m})"
+
+
+def _distance_profiles(g: Graph) -> list[tuple[int, ...]]:
+    """Sphere sizes |S_1(v)|, ..., |S_k(v)| of each v, k = min(radius, ecc v)."""
+    balls = [1 << v for v in range(g.n)]
+    profiles: list[list[int]] = [[] for _ in range(g.n)]
+    for _ in range(_PROFILE_RADIUS):
+        # grow every ball from the last round's; a ball that stopped growing
+        # holds its vertex's whole component and never grows again
+        last = balls[:]
+        for v in range(g.n):
+            ball = last[v]
+            for u in g.adjacency[v]:
+                ball |= last[u]
+            if ball != last[v]:
+                profiles[v].append((ball ^ last[v]).bit_count())
+                balls[v] = ball
+    return [tuple(p) for p in profiles]
 
 
 class Permutation(tuple):

@@ -4,7 +4,10 @@ The search is meant as ground truth at test scale (n up to ~16 in general),
 not as a competitor to industrial solvers; the worst case is exponential.
 With a budget it runs at any size and gives up instead, which is how
 ``rsvp_compare`` uses it. Refinement starts from each vertex's distance
-profile, so most regular graphs split before any candidate is tried.
+profile, so most regular graphs split before any candidate is tried. The
+profiles are ``Graph.profiles``, computed once per graph, so both of
+``rsvp_compare``'s searches, the orbit search and bench's oracle column
+read the same list.
 
 ``find_isomorphism`` (``rsvp_compare``'s first search and its anchored one)
 and the orbit search run one candidate stream, ``_match``; only its
@@ -25,11 +28,6 @@ from .refinement import _refine_once, color_refinement
 
 # exact search is refused above this vertex count unless forced
 ORACLE_SIZE_LIMIT = 16
-
-# the smallest profile radius at which rsvp_compare's first search proves all
-# 275 iso compare-mixed rows of perfbench seeds 1-5 (1: 167, 2: 263, 3: 273);
-# path(1500)'s profiles take 5 ms here and 1.6 s unbounded (2-vCPU VM)
-_PROFILE_RADIUS = 4
 
 # candidate streams, per vertex, that one automorphism search may open and
 # that all of one graph's searches may open together; relabeled paley:61 and
@@ -62,24 +60,6 @@ def _bfs_order(g: Graph, start: int = 0) -> list[int]:
                     seen[w] = True
                     order.append(w)
     return order
-
-
-def _distance_profiles(g: Graph) -> list[tuple[int, ...]]:
-    """Sphere sizes |S_1(v)|, ..., |S_k(v)| of each v, k = min(radius, ecc v)."""
-    balls = [1 << v for v in range(g.n)]
-    profiles: list[list[int]] = [[] for _ in range(g.n)]
-    for _ in range(_PROFILE_RADIUS):
-        # grow every ball from the last round's; a ball that stopped growing
-        # holds its vertex's whole component and never grows again
-        last = balls[:]
-        for v in range(g.n):
-            ball = last[v]
-            for u in g.adjacency[v]:
-                ball |= last[u]
-            if ball != last[v]:
-                profiles[v].append((ball ^ last[v]).bit_count())
-                balls[v] = ball
-    return [tuple(p) for p in profiles]
 
 
 def _depth_first(order: list[int], extend: Callable[[int], Iterator[int]]) -> bool:
@@ -168,7 +148,7 @@ def find_isomorphism(g1: Graph, g2: Graph, budget: int | None = None,
     """
     if anchor is not None and anchor not in range(g2.n):
         raise ValueError(f"anchor must be a vertex of g2, 0..n-1 with n = {g2.n}; got {anchor!r}")
-    p1, p2 = _distance_profiles(g1), _distance_profiles(g2)
+    p1, p2 = g1.profiles, g2.profiles
     # refinement only splits classes, so unequal start histograms stay so;
     # a profile starts with its vertex's degree (an isolated vertex's is
     # empty), so equal histograms also mean equal n, degrees and m
@@ -226,7 +206,7 @@ def _orbits(g: Graph) -> list[int]:
             root[v] = v = root[root[v]]
         return v
 
-    profiles = _distance_profiles(g)
+    profiles = g.profiles
     rank = {p: i for i, p in enumerate(sorted(set(profiles)))}
     if len(rank) == n:
         return root

@@ -19,6 +19,8 @@ from rsvp.bench import (
 )
 from rsvp.formats import MAX_VERTICES, to_dimacs
 from rsvp.generators import complete, cycle, disjoint_union, paley, shrikhande
+from rsvp.graphs import Graph, _distance_profiles
+from rsvp.oracle import find_isomorphism
 
 
 def test_spec_parsing_simple_and_nested():
@@ -165,11 +167,56 @@ def test_row_error_names_the_failing_file(tmp_path):
     assert report.rsvp == ""
 
 
-def test_oracle_column_is_size_gated():
+def count_oracle_searches(monkeypatch) -> list[tuple]:
+    """Record each ``find_isomorphism`` call the oracle column makes."""
+    calls: list[tuple] = []
+
+    def counted(*args):
+        calls.append(args)
+        return find_isomorphism(*args)
+
+    monkeypatch.setattr("rsvp.bench.find_isomorphism", counted)
+    return calls
+
+
+@pytest.mark.parametrize("graph_a, graph_b", [
+    # the first search runs out of budget and the anchored one proves it
+    ("gen:shrikhande", "gen:permuted:42:shrikhande"),
+    ("gen:cycle:6", "gen:permuted:1:cycle:6"),
+    ("gen:shrikhande", "gen:rook:4"),
+])
+def test_a_compare_row_computes_each_graphs_profiles_once(monkeypatch, graph_a, graph_b):
+    computed: list[Graph] = []
+
+    def counted(g):
+        computed.append(g)
+        return _distance_profiles(g)
+
+    monkeypatch.setattr("rsvp.graphs._distance_profiles", counted)
+    report = run_row(ManifestRow("row", graph_a, graph_b))
+    assert report.oracle in ("isomorphic", "non-isomorphic")
+    assert len(computed) == 2
+
+
+def test_oracle_column_is_size_gated(monkeypatch):
+    searches = count_oracle_searches(monkeypatch)
     skipped = run_row(ManifestRow("c20", "gen:cycle:20", "gen:permuted:3:cycle:20", "iso"))
     assert skipped.oracle == "skipped"
+    assert searches == []
+    # rsvp proves these two, so the oracle re-checks that mapping, no search
     ran = run_row(ManifestRow("c6", "gen:cycle:6", "gen:cycle:6", "iso"))
     assert ran.oracle == "isomorphic"
+    relabeled = ManifestRow("c6p", "gen:cycle:6", "gen:permuted:1:cycle:6", "iso")
+    assert run_row(relabeled).oracle == "isomorphic"
+    assert searches == []
+    non_iso = run_row(ManifestRow("srg", "gen:shrikhande", "gen:rook:4", "non-iso"))
+    assert non_iso.oracle == "non-isomorphic"
+    assert len(searches) == 1
+    # a mapping that fails the check is searched for again
+    monkeypatch.setattr("rsvp.bench.verify_mapping", lambda a, b, f: False)
+    rejected = run_row(relabeled)
+    assert (rejected.rsvp, rejected.oracle) == ("certificates-equal", "isomorphic")
+    assert len(searches) == 2
     # a skipped oracle has no time, so its cell is blank in both outputs
     records = list(csv.DictReader(io.StringIO(format_csv([skipped, ran]))))
     assert [r["oracle_ms"] for r in records] == ["", f"{ran.oracle_ms:.1f}"]

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from conftest import graph_pairs, peak_rss_mb, random_graph, shuffled_copy
 from rsvp.formats import parse_dimacs, parse_edge_list, to_dimacs
 from rsvp.generators import complete, cycle, disjoint_union, path, paley, rook
-from rsvp.graphs import Graph, Permutation, permute, verify_mapping
+from rsvp.graphs import Graph, Permutation, _distance_profiles, permute, verify_mapping
 
 
 def test_constructor_builds_sorted_adjacency():
@@ -196,6 +196,12 @@ def test_second_neighbour_bits_count_common_neighbours():
                 common = len(set(h.adjacency[w]) & set(h.adjacency[s]))
                 assert twice[s] >> w & 1 == (common >= 2)
                 assert once[s] >> w & 1 == (common == 1)
+
+
+def test_profiles_are_computed_once_per_graph():
+    for h in storage_variants():
+        assert h.profiles == _distance_profiles(h)
+        assert h.profiles is h.profiles
 
 
 def test_a_dense_graph_loads_without_copies_of_its_edge_set():

@@ -14,10 +14,10 @@ from reference_oracle import bfs_order
 from rsvp.distances import bfs_distances
 from rsvp.generators import (complete, cycle, disjoint_union, graph_from_spec, paley, path, rook,
                              shrikhande)
-from rsvp.graphs import Graph, Permutation, permute, verify_mapping
-from rsvp.oracle import (_ORBIT_GRAPH_STREAMS, _ORBIT_SEARCH_STREAMS, _PROFILE_RADIUS,
-                         SearchBudgetExceeded, _bfs_order, _depth_first, _distance_profiles,
-                         _orbits, find_isomorphism)
+from rsvp.graphs import (_PROFILE_RADIUS, Graph, Permutation, _distance_profiles, permute,
+                         verify_mapping)
+from rsvp.oracle import (_ORBIT_GRAPH_STREAMS, _ORBIT_SEARCH_STREAMS, SearchBudgetExceeded,
+                         _bfs_order, _depth_first, _orbits, find_isomorphism)
 from rsvp.refinement import WLVerdict, wl_compare
 from rsvp.signature import CertificatesEqual, NonIsomorphic, certificate, rsvp_compare
 

@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 import reference_refinement
 from conftest import atlas, random_graph, small_graphs
 from rsvp.generators import complete, cycle, disjoint_union, path, rook, shrikhande
-from rsvp.graphs import Graph, Permutation, permute
-from rsvp.oracle import _distance_profiles, find_isomorphism
+from rsvp.graphs import Graph, Permutation, _distance_profiles, permute
+from rsvp.oracle import find_isomorphism
 from rsvp.refinement import Coloring, WLVerdict, _refine_once, color_refinement, wl_compare
 
 
