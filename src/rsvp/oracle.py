@@ -4,10 +4,11 @@ The search is meant as ground truth at test scale (n up to ~16 in general),
 not as a competitor to industrial solvers; the worst case is exponential.
 With a budget it runs at any size and gives up instead, which is how
 ``rsvp_compare`` uses it. Refinement starts from each vertex's distance
-profile, so most regular graphs split before any candidate is tried. The
-profiles are ``Graph.profiles``, computed once per graph, so both of
-``rsvp_compare``'s searches, the orbit search and bench's oracle column
-read the same list.
+profile, so most regular graphs split before any candidate is tried; the
+two graphs are refined together by ``color_refinement``'s pair form, with
+no union graph built. The profiles are ``Graph.profiles``, computed once
+per graph, so both of ``rsvp_compare``'s searches, the orbit search and
+bench's oracle column read the same list.
 
 ``find_isomorphism`` (``rsvp_compare``'s first search and its anchored one)
 and the orbit search run one candidate stream, ``_match``; only its
@@ -23,7 +24,7 @@ from collections import Counter
 from collections.abc import Callable, Iterator
 from itertools import chain
 
-from .graphs import Graph, Permutation, disjoint_union, verify_mapping
+from .graphs import Graph, Permutation, verify_mapping
 from .refinement import _refine_once, color_refinement
 
 # exact search is refused above this vertex count unless forced
@@ -138,8 +139,9 @@ def find_isomorphism(g1: Graph, g2: Graph, budget: int | None = None,
     """Exact: a verified isomorphism if one exists, else None.
 
     ``_match`` over ``_bfs_order(g1)``, each vertex's candidates its class of
-    the joint color refinement started from the (invariant) distance
-    profiles, tried ascending, so failures reproduce exactly. ``anchor=w``
+    the joint color refinement of the pair (``color_refinement(g1, start,
+    g2)``, no union graph) started from the (invariant) distance profiles,
+    tried ascending, so failures reproduce exactly. ``anchor=w``
     individualises g1's vertex 0 and g2's vertex w on top of the profiles, so
     only mappings that send 0 to w are tried; None from an anchored call
     proves nothing. With a ``budget``, each candidate stream opened for a
@@ -160,7 +162,7 @@ def find_isomorphism(g1: Graph, g2: Graph, budget: int | None = None,
     start: list = p1 + p2
     if anchor is not None:
         start = [(p, i in (0, n + anchor)) for i, p in enumerate(start)]
-    colors = color_refinement(disjoint_union(g1, g2), start).colors
+    colors = color_refinement(g1, start, g2).colors
     c1, c2 = colors[:n], colors[n:]
     if Counter(c1) != Counter(c2):
         return None
@@ -186,7 +188,8 @@ def _orbits(g: Graph) -> list[int]:
     """For each vertex v, the least vertex that the automorphisms found prove
     to share v's orbit: v itself unless a search proves otherwise.
 
-    Cells are the distance profiles refined one round. For each cell with
+    Cells are the distance profiles refined one round, by the
+    ``_refine_once`` that ``color_refinement`` runs. For each cell with
     more than one member, ``_match`` tries to send its least member r to
     each member w not yet in r's orbit, over the rest of ``_bfs_order(g, r)``
     with candidates shifted by w - r: where the labels follow a rotation the
@@ -210,7 +213,7 @@ def _orbits(g: Graph) -> list[int]:
     rank = {p: i for i, p in enumerate(sorted(set(profiles)))}
     if len(rank) == n:
         return root
-    colors = _refine_once(g, [rank[p] for p in profiles])
+    [colors] = _refine_once([g], [[rank[p] for p in profiles]])
     cells: dict[int, int] = {}
     for v, c in enumerate(colors):
         cells[c] = cells.get(c, 0) | 1 << v

@@ -352,6 +352,19 @@ def test_an_exhausted_graph_budget_stops_every_cell(monkeypatch):
     assert sum(map(len, searches)) == _ORBIT_GRAPH_STREAMS * g.n
 
 
+def test_a_later_search_stops_at_the_graph_budget(monkeypatch):
+    # the same three cells with 6n streams for the graph: the first search
+    # spends its 4n, so the second opens only the 2n left and the third none
+    monkeypatch.setattr("rsvp.oracle._ORBIT_SEARCH_STREAMS", 4)
+    monkeypatch.setattr("rsvp.oracle._ORBIT_GRAPH_STREAMS", 6)
+    g = graph_from_spec("disjoint_union:permuted:1:paley:61:"
+                        "disjoint_union:permuted:2:paley:53:permuted:1:paley:41")
+    searches = count_streams(monkeypatch)
+    assert _orbits(g) == list(range(g.n))
+    assert [len(opened) for opened in searches] == [4 * g.n, 2 * g.n]
+    assert sum(map(len, searches)) == 6 * g.n
+
+
 @pytest.mark.parametrize("g, roots", [
     (Graph(0), []),
     (Graph(1), [0]),
@@ -373,6 +386,25 @@ def test_search_outcomes_on_the_atlas_are_pinned():
             k = permute(g, Permutation.random(n, rng))
             digest.update(repr((find_isomorphism(g, k), _orbits(g), _orbits(k))).encode())
     assert digest.hexdigest() == "25a26d184866f50c1f24db3afe717f0cbd4d13d7a4b2c5b4d8ffb3daa7d66b90"
+
+
+def test_comparing_builds_no_graph(monkeypatch):
+    # the searches and 1-WL refine each pair in place, never a union of it
+    g, k, h = shrikhande(), relabeled("shrikhande", 1), rook(4)
+    built = []
+    adopt = Graph._adopt
+
+    def counted(self, rows):
+        built.append(len(rows))
+        return adopt(self, rows)
+
+    monkeypatch.setattr(Graph, "_adopt", counted)
+    assert wl_compare(g, k) is WLVerdict.POSSIBLY_ISOMORPHIC
+    assert find_isomorphism(g, k) is not None
+    assert find_isomorphism(g, k, anchor=3) is not None
+    assert isinstance(rsvp_compare(g, k), CertificatesEqual)
+    assert rsvp_compare(g, h) == NonIsomorphic("certificates differ")
+    assert built == []
 
 
 def test_an_unverified_automorphism_raises(monkeypatch):

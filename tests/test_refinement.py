@@ -44,10 +44,10 @@ def test_class_count_monotone_and_stable_within_n_rounds():
         colors = [0] * g.n
         counts = [1]
         for _ in range(g.n):
-            colors = _refine_once(g, colors)
+            [colors] = _refine_once([g], [colors])
             counts.append(len(set(colors)))
         assert counts == sorted(counts)
-        assert _refine_once(g, colors) == colors  # refining once more: no split
+        assert _refine_once([g], [colors]) == [colors]  # refining once more: no split
         assert color_refinement(g).rounds <= max(1, g.n)
 
 
@@ -129,6 +129,36 @@ def test_a_start_of_the_wrong_length_is_refused():
     for start in ([0] * 5 + [1], [0, 1]):
         with pytest.raises(ValueError, match=f"start has {len(start)} labels for 5 vertices"):
             color_refinement(path(5), start)
+
+
+def assert_pair_matches_union(g: Graph, h: Graph, anchor: int) -> None:
+    """The pair form gives the colours and rounds of refining the union, for
+    the uniform start, the distance profiles, and the profiles with g's
+    vertex 0 and h's vertex ``anchor`` individualised."""
+    union = disjoint_union(g, h)
+    profiles = g.profiles + h.profiles
+    anchored = [(p, v in (0, g.n + anchor)) for v, p in enumerate(profiles)]
+    for start in ((), profiles, anchored):
+        assert color_refinement(g, start, h) == color_refinement(union, start)
+
+
+def test_the_pair_form_matches_the_union_on_the_atlas():
+    graphs = [g for n in range(6) for g in atlas(n)]
+    for g in graphs:
+        for h in graphs:
+            assert_pair_matches_union(g, h, h.n - 1)
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_graphs(), small_graphs(), st.data())
+def test_the_pair_form_matches_the_union_on_small_graphs(g, h, data):
+    assert_pair_matches_union(g, h, data.draw(st.integers(0, max(h.n - 1, 0))))
+
+
+def test_a_pair_start_of_the_wrong_length_is_refused():
+    for start in ([0] * 9, [0, 1]):
+        with pytest.raises(ValueError, match=fr"start has {len(start)} labels for 5 \+ 3 = 8 vertices"):
+            color_refinement(path(5), start, cycle(3))
 
 
 def test_a_stable_start_takes_one_round():

@@ -7,7 +7,7 @@ import subprocess
 import sys
 from contextlib import contextmanager
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations
 from math import gcd
 from pathlib import Path
 
@@ -424,6 +424,21 @@ def test_search_on_and_off_agree_on_every_atlas_pair():
     assert NonIsomorphic("certificates differ") in expected
     # the verdicts and their reasons, pinned for later search changes
     assert verdicts_sha256(expected) == "5b3fafe41cab252071ff2a1ccf839175ab61128acaa1ac315a0411b1378b39fa"
+
+
+def test_compare_says_equal_exactly_when_the_certificates_are_equal():
+    # every ordered pair of atlas graphs past the gates, so each graph's lines
+    # are counted off against the other's from both sides: a g2 line missing
+    # from g1 must end the count-off whichever graph holds it
+    pairs = 0
+    for n in range(8):
+        graphs = atlas(n)
+        certificates = [certificate(g) for g in graphs]
+        for (g, a), (h, b) in permutations(zip(graphs, certificates), 2):
+            if g.m == h.m and g.degree_sequence() == h.degree_sequence():
+                pairs += 1
+                assert isinstance(rsvp_compare(g, h), CertificatesEqual) == (a == b), (g.edges(), h.edges())
+    assert pairs == 6_750
 
 
 def count_traversals(monkeypatch) -> list[int]:
