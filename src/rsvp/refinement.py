@@ -50,7 +50,7 @@ def color_refinement(g: Graph, start: Sequence = (), h: Graph | None = None) -> 
     colours and rounds equal ``color_refinement(disjoint_union(g, h), start)``.
     """
     graphs = (g,) if h is None else (g, h)
-    n = g.n if h is None else g.n + h.n
+    n = sum(x.n for x in graphs)
     labels = list(start) or [0] * n
     if len(labels) != n:
         total = n if h is None else f"{g.n} + {h.n} = {n}"
