@@ -16,11 +16,14 @@ target is a neighbor of it, so two parents are at distance 1 if adjacent and 2
 A certificate is the sorted multiset of vertex signatures. Relabeling a graph
 permutes the multiset, so certificates of isomorphic graphs are equal; the
 converse does not hold, which is why an equal-certificates verdict carries a
-mapping only when a budgeted exact search has proved one.
+mapping only when a budgeted exact search has proved one. A large enough
+certificate takes a second CPU: one forked helper process computes half of
+its lines (see ``certificate``), with the same bytes.
 """
 
 from __future__ import annotations
 
+import os
 from collections import Counter
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
@@ -162,7 +165,8 @@ def vertex_signature(g: Graph, v: int, dist: Sequence[Sequence[int | None]]) -> 
 
 def _signatures(g: Graph) -> Iterator[str]:
     """The lines of ``vertex_signature(g, v, ...)`` for v = 0, 1, ..., computed
-    lazily, with one pair-total memo and one prime list (hops <= n) per graph.
+    lazily, with one pair-total memo and one prime list (hops <= n) per graph:
+    compare's producer, which stops at the first line that settles its verdict.
 
     A second line runs the orbit search (``oracle._orbits``); from then on a
     vertex whose root is an earlier vertex in its automorphism orbit repeats
@@ -181,6 +185,146 @@ def _signatures(g: Graph) -> Iterator[str]:
         yield lines[v]
 
 
+# roots * (n + 2m) from which a certificate hands every other orbit root's line
+# to the helper process; below it the pipe round trip costs more than the half
+# of the lines saves (2-vCPU sweep in CHANGES.md)
+_HELPER_WORK = 500
+
+# the helper, forked on first use: (its pid, the pid that forked it, request
+# file, reply file), or None
+_helper: tuple | None = None
+
+
+def _lines(g: Graph, roots: list[int], totals: dict[int, int], primes: list[int]) -> list[str]:
+    """The lines of ``roots``, in order, sharing the memo ``totals``."""
+    return [_signature(aggregate_hp(g, v), totals, primes) for v in roots]
+
+
+def _worth_a_helper(g: Graph, count: int) -> bool:
+    """Whether half of ``count`` lines is worth a round trip to the helper:
+    the work passes ``_HELPER_WORK``, this process can fork, may run on two
+    CPUs, and runs no other thread (a fork copies no thread, but any lock
+    one of them holds)."""
+    if count * (g.n + 2 * g.m) < _HELPER_WORK or not hasattr(os, "fork"):
+        return False
+    import threading
+
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        cpus = os.cpu_count() or 1
+    return cpus >= 2 and threading.active_count() == 1
+
+
+def _serve(requests, replies) -> None:
+    """The helper's loop: each request ``(bits, roots)`` is answered with
+    ``(roots, lines)``, until the request pipe closes."""
+    import pickle
+
+    while True:
+        try:
+            bits, roots = pickle.load(requests)
+        except EOFError:
+            return
+        g = Graph.__new__(Graph)._adopt(bits)
+        pickle.dump((roots, _lines(g, roots, {}, odd_primes(g.n))), replies, pickle.HIGHEST_PROTOCOL)
+        replies.flush()
+
+
+def _fork_helper() -> None:
+    """Fork the helper, which runs ``_serve``, and keep it in ``_helper``."""
+    global _helper
+    import atexit
+    import signal
+
+    request_r, request_w = os.pipe()
+    reply_r, reply_w = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        # the helper: it never returns into the caller's stack, flushes no
+        # copy of the caller's buffers and runs none of its atexit hooks
+        code = 1
+        try:
+            signal.signal(signal.SIGINT, signal.SIG_IGN)
+            signal.signal(signal.SIGTERM, signal.SIG_DFL)
+            os.close(request_w)
+            os.close(reply_r)
+            null = os.open(os.devnull, os.O_RDWR)
+            for fd in (0, 1, 2):
+                os.dup2(null, fd)
+            if null > 2:
+                os.close(null)
+            _serve(os.fdopen(request_r, "rb"), os.fdopen(reply_w, "wb"))
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(request_r)
+    os.close(reply_w)
+    _helper = (pid, os.getpid(), os.fdopen(request_w, "wb"), os.fdopen(reply_r, "rb"))
+    atexit.unregister(_stop_helper)
+    atexit.register(_stop_helper)
+
+
+def _stop_helper() -> None:
+    """Discard the helper, if any: terminate it when this process forked it
+    (first, so that closing a half-written request cannot block), close this
+    process's ends of its pipes, and reap it."""
+    global _helper
+    if _helper is None:
+        return
+    pid, owner, requests, replies = _helper
+    _helper = None
+    if owner == os.getpid():
+        import signal
+
+        try:
+            os.kill(pid, signal.SIGTERM)
+        except ProcessLookupError:
+            pass
+    for pipe in (requests, replies):
+        try:
+            pipe.close()
+        except OSError:  # an unflushed request to a helper already gone
+            pass
+    if owner == os.getpid():
+        try:
+            os.waitpid(pid, 0)
+        except ChildProcessError:  # reaped elsewhere
+            pass
+
+
+def _send(bits: list[int], roots: list[int]) -> bool:
+    """Ask the helper, forked now if there is none, for the lines of
+    ``roots``; False, with no helper left, when that fails."""
+    import pickle
+
+    try:
+        if _helper is None or _helper[1] != os.getpid():
+            _stop_helper()
+            _fork_helper()
+        pickle.dump((bits, roots), _helper[2], pickle.HIGHEST_PROTOCOL)
+        _helper[2].flush()
+    except Exception:
+        _stop_helper()
+        return False
+    return True
+
+
+def _receive(roots: list[int]) -> list[str] | None:
+    """The helper's lines for ``roots``, the roots of the one request it has
+    not answered yet; None, with no helper left, when that fails."""
+    import pickle
+
+    try:
+        answered, lines = pickle.load(_helper[3])
+        if answered != roots:
+            raise RuntimeError(f"the helper answered {len(answered)} other roots")
+    except Exception:
+        _stop_helper()
+        return None
+    return lines
+
+
 @dataclass(frozen=True)
 class Certificate:
     """All n vertex signatures as their canonical text lines, sorted."""
@@ -196,10 +340,32 @@ class Certificate:
 def certificate(g: Graph) -> Certificate:
     """Certificate of ``g``; equal for isomorphic graphs, one-sided otherwise.
 
-    One signature is computed per automorphism orbit that ``_orbits`` proves
-    (see ``_signatures``); the bytes are those of computing every vertex's.
+    One signature is computed per automorphism orbit that ``_orbits`` proves,
+    and its line is repeated, the same string object, for the orbit's other
+    vertices; the bytes are those of computing every vertex's.
+    Above ``_HELPER_WORK`` (see ``_worth_a_helper``) every other orbit root's
+    line comes from one helper process, forked once and kept, while this
+    process computes the rest; whatever goes wrong with the helper, this
+    process discards it and computes its lines too, so the bytes never
+    depend on it.
     """
-    return Certificate(tuple(sorted(_signatures(g))))
+    orbit = _orbits(g)
+    roots = [v for v, root in enumerate(orbit) if root == v]
+    share = roots[1::2] if _worth_a_helper(g, len(roots)) else []
+    mine = roots[::2] if share else roots
+    totals: dict[int, int] = {}
+    primes = odd_primes(g.n)
+    try:
+        asked = bool(share) and _send(g.bits, share)
+        texts = _lines(g, mine, totals, primes)
+        answer = _receive(share) if asked else None
+    except BaseException:  # KeyboardInterrupt too: no request or reply may be left half done
+        if share:
+            _stop_helper()
+        raise
+    texts += _lines(g, share, totals, primes) if answer is None else answer
+    line = dict(zip(mine + share, texts))
+    return Certificate(tuple(sorted([line[root] for root in orbit])))
 
 
 @dataclass(frozen=True)

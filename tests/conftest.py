@@ -7,8 +7,10 @@ import sys
 from functools import cache
 from pathlib import Path
 
+import pytest
 from hypothesis import strategies as st
 
+import rsvp.signature
 from rsvp.generators import (
     complete,
     cycle,
@@ -21,6 +23,14 @@ from rsvp.generators import (
     shrikhande,
 )
 from rsvp.graphs import Graph, Permutation, permute
+
+
+@pytest.fixture(autouse=True)
+def _stop_the_certificate_helper():
+    """Stop any certificate helper process at teardown, so that every test
+    that fans a certificate out forks its own helper, after its own patches."""
+    yield
+    rsvp.signature._stop_helper()
 
 
 # a small wrapper runs the code in a grandchild, so RUSAGE_CHILDREN reads that

@@ -14,6 +14,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings
 
+import rsvp.signature
 from conftest import atlas, graph_pairs, random_graph, shuffled_copy, small_graphs, wl_uniform_twins
 from hard_families import NON_GROUP_ROWS, Z5_ROWS, chang_graph, latin_square_graph, triangular_graph
 from rsvp.distances import distance_matrix
@@ -442,13 +443,23 @@ def test_compare_says_equal_exactly_when_the_certificates_are_equal():
 
 
 def count_traversals(monkeypatch) -> list[int]:
+    """The sources of the traversals run: by this process, and, read from
+    its replies, by a certificate's helper process."""
     calls: list[int] = []
 
     def counting(g, v):
         calls.append(v)
         return aggregate_hp(g, v)
 
+    def receiving(roots):
+        lines = receive(roots)
+        if lines is not None:
+            calls.extend(roots)
+        return lines
+
+    receive = rsvp.signature._receive
     monkeypatch.setattr("rsvp.signature.aggregate_hp", counting)
+    monkeypatch.setattr("rsvp.signature._receive", receiving)
     return calls
 
 
